@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .cast import CProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..riscv.core import CoreConfig
+    from ..riscv.core import CoreConfig, CoreStats
 from .cparser import cparse
 from .rtlgen import RtlGenError, generate_rtl
 from .schedule import ScheduleReport, estimate_schedule
@@ -30,6 +30,7 @@ from .schedule import ScheduleReport, estimate_schedule
 # Bus model: words/cycle and fixed handshake overhead per offload call.
 _TRANSFER_WORDS_PER_CYCLE = 1.0
 _OFFLOAD_OVERHEAD_CYCLES = 40
+_CLOCK_NS = 10.0
 
 
 @dataclass
@@ -44,9 +45,9 @@ class KernelProfile:
                 f"({self.share:.0%}) over {self.calls} call(s)")
 
 
-def profile_kernels(source: str | CProgram, entry: str = "main",
-                    config: "CoreConfig | None" = None) -> list[KernelProfile]:
-    """Execute the program on the core and attribute work per function.
+def _profile(program: CProgram, entry: str, config: "CoreConfig | None"
+             ) -> tuple[list[KernelProfile], "CoreStats"]:
+    """Run the program once on the core; attribute work per function.
 
     Attribution uses the compiled label layout: every dynamic instruction is
     charged to the function whose code region its PC falls in.
@@ -55,46 +56,47 @@ def profile_kernels(source: str | CProgram, entry: str = "main",
     # frontend, so a module-level import here would be circular.
     from ..riscv.assembler import assemble
     from ..riscv.compiler import compile_program
-    from ..riscv.core import Core, CoreConfig
+    from ..riscv.core import Core
 
-    program = cparse(source) if isinstance(source, str) else source
-    asm = compile_program(program, entry=entry)
-    assembled = assemble(asm)
-    core = Core(config or CoreConfig())
-    trace, _ = core._exec_functional(assembled)
+    assembled = assemble(compile_program(program, entry=entry))
+    size = len(assembled)
+    hits = [0] * size
+    stats = Core(config).run(assembled, pc_hits=hits)
 
-    # Function code regions from labels (function labels have no dot).
-    regions: list[tuple[int, str]] = sorted(
-        (index, name) for name, index in assembled.labels.items()
-        if not name.startswith(".") and name != "_start")
-    regions.sort()
-
-    def owner(pc: int) -> str:
-        name = "_start"
-        for start, label in regions:
-            if pc >= start:
-                name = label
-            else:
-                break
-        return name
+    # Function code regions from labels (function labels have no dot);
+    # code before the first function belongs to _start.
+    starts = sorted((index, name) for name, index in assembled.labels.items()
+                    if not name.startswith(".") and name != "_start")
+    owner = ["_start"] * size
+    for (start, name), (end, _) in zip(starts, starts[1:] + [(size, "")]):
+        owner[start:end] = [name] * (end - start)
 
     counts: dict[str, int] = {}
     calls: dict[str, int] = {}
-    for entry_i in trace:
-        fn = owner(entry_i.pc)
-        counts[fn] = counts.get(fn, 0) + 1
-        if entry_i.instr.mnemonic == "jal" and entry_i.instr.rd == 1:
-            target = owner(entry_i.pc + entry_i.instr.imm // 4)
-            calls[target] = calls.get(target, 0) + 1
+    for pc, n in enumerate(hits):
+        if not n:
+            continue
+        counts[owner[pc]] = counts.get(owner[pc], 0) + n
+        instr = assembled.instructions[pc]
+        if instr.mnemonic == "jal" and instr.rd == 1:
+            target = owner[pc + instr.imm // 4]
+            calls[target] = calls.get(target, 0) + n
 
-    total = max(1, len(trace))
+    total = max(1, stats.instret)
     profiles = [
-        KernelProfile(fn, n, calls.get(fn, 1 if fn != "_start" else 0),
-                      n / total)
+        KernelProfile(fn, n, calls.get(fn, 1), n / total)
         for fn, n in counts.items() if fn != "_start"
     ]
+    # Stable sort: equal counts stay in code-layout order.
     profiles.sort(key=lambda p: -p.dynamic_instructions)
-    return profiles
+    return profiles, stats
+
+
+def profile_kernels(source: str | CProgram, entry: str = "main",
+                    config: "CoreConfig | None" = None) -> list[KernelProfile]:
+    """Execute the program on the core and attribute work per function."""
+    program = cparse(source) if isinstance(source, str) else source
+    return _profile(program, entry, config)[0]
 
 
 @dataclass
@@ -146,20 +148,20 @@ def _transfer_words(program: CProgram, function: str) -> int:
 
 def plan_accelerator(source: str | CProgram, function: str,
                      entry: str = "main",
-                     clock_ns: float = 10.0) -> AcceleratorPlan:
+                     clock_ns: float = _CLOCK_NS) -> AcceleratorPlan:
     """Size the accelerator opportunity for one kernel."""
     program = cparse(source) if isinstance(source, str) else source
-    profiles = {p.function: p for p in profile_kernels(program, entry=entry)}
-    profile = profiles.get(function)
+    profiles, stats = _profile(program, entry, None)
+    profile = next((p for p in profiles if p.function == function), None)
     if profile is None:
         raise KeyError(f"function '{function}' never executed from '{entry}'")
+    return _plan(program, profile, stats, clock_ns)
 
+
+def _plan(program: CProgram, profile: KernelProfile, stats: "CoreStats",
+          clock_ns: float) -> AcceleratorPlan:
+    function = profile.function
     # CPU cost: timing-model cycles attributed by the instruction share.
-    from ..riscv.assembler import assemble
-    from ..riscv.compiler import compile_program
-    from ..riscv.core import Core, CoreConfig
-    asm = compile_program(program, entry=entry)
-    stats = Core(CoreConfig()).run(assemble(asm))
     cpu_cycles_total = stats.cycles * profile.share
     cpu_per_call = cpu_cycles_total / max(1, profile.calls)
 
@@ -203,18 +205,15 @@ class ExtractionReport:
 def extract_kernels(source: str, entry: str = "main",
                     min_share: float = 0.10) -> ExtractionReport:
     """The full closed loop: profile → select hot kernels → plan
-    accelerators with transfer-cost awareness."""
-    from ..riscv.compiler import CompileError
-    from ..riscv.core import ExecutionFault
-
+    accelerators with transfer-cost awareness.  The program runs once."""
     program = cparse(source)
-    report = ExtractionReport(profiles=profile_kernels(program, entry=entry))
-    for profile in report.profiles:
+    profiles, stats = _profile(program, entry, None)
+    report = ExtractionReport(profiles=profiles)
+    for profile in profiles:
         if profile.share < min_share or profile.function == entry:
             continue
         try:
-            report.plans.append(plan_accelerator(program, profile.function,
-                                                 entry=entry))
-        except (CompileError, ExecutionFault, KeyError):
+            report.plans.append(_plan(program, profile, stats, _CLOCK_NS))
+        except KeyError:
             continue
     return report

@@ -262,6 +262,126 @@ int main() {
             assert 0.0 <= act <= 1.0, unit
 
 
+_COUNTDOWN = """
+_start:
+    li t0, 5
+loop:
+    addi t0, t0, -1
+    bnez t0, loop
+    halt
+"""
+
+
+_LOOP = """
+_start:
+    li t0, {n}
+loop:
+    addi t0, t0, -1
+    xor a0, a0, t0
+    add a1, a1, a0
+    bnez t0, loop
+    halt
+"""
+
+
+class TestCoreFaults:
+    """Fault paths and memory; the ``pcrange`` cases (branches out of
+    code, falling off the end, ``jalr`` away) are golden-fixture cases in
+    tests/test_riscv_golden.py."""
+
+    def test_max_instructions_boundary(self):
+        program = assemble(_COUNTDOWN)
+        retired = run_program(program).instret
+        assert retired == 12          # li, 5 x (addi, bnez), halt
+        exact = Core(CoreConfig(max_instructions=retired)).run(program)
+        assert exact == run_program(program)
+        with pytest.raises(ExecutionFault) as info:
+            Core(CoreConfig(max_instructions=retired - 1)).run(program)
+        assert info.value.kind == "timeout"
+        assert str(info.value) == \
+            f"[CPU:timeout] exceeded {retired - 1} dynamic instructions"
+
+    def test_traced_peak_is_independent_of_dynamic_length(self):
+        """Under tracemalloc a 10k-instruction loop peaks at a few KB; a
+        per-instruction record would cost ~1 MB.  (Tracing runs the core
+        ~50x slower, so the 1 M-instruction check below reads RSS.)"""
+        import tracemalloc
+        program = assemble(_LOOP.format(n=2500))
+        tracemalloc.start()
+        try:
+            stats = run_program(program)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.instret == 10_003
+        assert peak < 64 * 1024
+
+    def test_rss_flat_over_a_million_instructions(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        script = (
+            "import resource, sys\n"
+            "from repro.riscv import assemble, run_program\n"
+            "program = assemble(sys.argv[1])\n"
+            "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = rss()\n"
+            "assert run_program(program).instret == 1_000_003\n"
+            "print(rss() - before)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        out = subprocess.run([sys.executable, "-c", script,
+                              _LOOP.format(n=250_000)],
+                             env=dict(os.environ, PYTHONPATH=src), check=True,
+                             capture_output=True, text=True, timeout=300)
+        assert int(out.stdout) < 8 * 1024    # KB on Linux
+
+    def test_pc_hits_count_every_executed_instruction(self):
+        program = assemble(_COUNTDOWN)
+        hits = [0] * len(program)
+        stats = Core().run(program, pc_hits=hits)
+        assert hits == [1, 5, 5, 1]
+        assert sum(hits) == stats.instret
+        assert stats == run_program(program)
+
+    def test_one_span_per_run(self):
+        from repro import obs
+        sink = obs.InMemorySink()
+        obs.install_tracer(obs.Tracer(sink, enabled=True))
+        try:
+            stats = run_program(assemble(_COUNTDOWN))
+        finally:
+            obs.reset_tracer()
+        spans = [r for r in sink.spans() if r["name"] == "riscv.core.run"]
+        assert len(spans) == 1
+        assert spans[0]["attrs"] == {"instret": stats.instret,
+                                     "cycles": stats.cycles,
+                                     "ipc": round(stats.ipc, 4)}
+
+
+class TestKernelProfiling:
+    def test_extract_kernels_runs_the_program_once(self, monkeypatch):
+        from repro.hls import extract_kernels
+        runs = []
+        real_run = Core.run
+
+        def counting_run(self, program, pc_hits=None):
+            runs.append(pc_hits is not None)
+            return real_run(self, program, pc_hits)
+
+        monkeypatch.setattr(Core, "run", counting_run)
+        report = extract_kernels("""
+int sq(int x) { return x * x; }
+int cube(int x) { return x * sq(x); }
+int main() { int s = 0; for (int i = 0; i < 9; i++) { s += cube(i); }
+             return s; }""", min_share=0.0)
+        assert runs == [True]
+        calls = {p.function: p.calls for p in report.profiles}
+        assert calls == {"main": 1, "cube": 9, "sq": 9}
+        assert [p.function for p in report.plans] == ["cube", "sq"]
+
+
 class TestPower:
     def _stats(self, src) -> CoreStats:
         return run_program(assemble(compile_program(src)))
