@@ -40,8 +40,6 @@ ENV_SERVICE_TENANT_SHARE = "REPRO_SERVICE_TENANT_SHARE"
 ENV_FULL_EVAL = "REPRO_FULL_EVAL"
 ENV_CRITIC = "REPRO_CRITIC"
 ENV_CRITIC_JUDGE = "REPRO_CRITIC_JUDGE"
-ENV_AGENT_PLANNER = "REPRO_AGENT_PLANNER"
-ENV_AGENT_MAX_STEPS = "REPRO_AGENT_MAX_STEPS"
 ENV_GEN_CONCURRENCY = "REPRO_GEN_CONCURRENCY"
 ENV_SIM_ENGINE = "REPRO_SIM_ENGINE"
 ENV_STORE = "REPRO_STORE"
@@ -205,21 +203,6 @@ class Settings:
         """``REPRO_CRITIC_JUDGE=1`` adds the seeded LLM-judge stage."""
         return self.env_bool(ENV_CRITIC_JUDGE, False)
 
-    # -- planner agent -------------------------------------------------------
-
-    @property
-    def agent_planner_enabled(self) -> bool:
-        """``REPRO_AGENT_PLANNER=1`` routes :class:`~repro.core.EdaAgent`
-        through the plan/act/observe :class:`~repro.core.PlannerAgent`
-        instead of the fixed stage pipeline; off (the default) keeps the
-        golden-fixture code path byte-identical."""
-        return self.env_bool(ENV_AGENT_PLANNER, False)
-
-    @property
-    def agent_max_steps(self) -> int:
-        """Plan/act/observe rounds before the planner gives up."""
-        return max(1, self.env_int(ENV_AGENT_MAX_STEPS, 12))
-
     # -- model-serving broker ------------------------------------------------
 
     @property
@@ -345,8 +328,6 @@ class Settings:
             "full_eval": self.full_eval,
             "critic": self.critic_enabled,
             "critic_judge": self.critic_judge_enabled,
-            "agent_planner": self.agent_planner_enabled,
-            "agent_max_steps": self.agent_max_steps,
         }
 
 

@@ -2,27 +2,24 @@
 
 Orchestrates specification review, RTL generation with tool feedback,
 static analysis, verification, logic synthesis, and closed-loop QoR
-refinement over one shared multi-modal design state.
+refinement over one shared multi-modal design state, on the one
+plan/act/observe loop the planner agent also runs.
 """
 
 from .agent import (AgentConfig, AgentRunReport, AgentSweep, EdaAgent,
-                    run_agent_sweep)
-from .planner import PlannerAgent, PlannerRunReport, PlanStep
+                    ScriptedPolicy, run_agent_sweep)
+from .planner import (GroundedPolicy, PlannerAgent, PlannerRunReport,
+                      PlanStep, run_plan_loop)
 from .policy import (PlanAction, PlannerClient, SimulatedPlanner,
                      parse_action, render_action, resolve_planner)
 from .report import agent_report_text, format_table, sweep_report_text
-from .stages import (DEFAULT_PIPELINE, QorStage, RtlGenerationStage,
-                     SpecificationStage, Stage, StageContext,
-                     StaticAnalysisStage, SynthesisStage, VerificationStage)
 from .state import DesignState, StageRecord
 
 __all__ = [
-    "AgentConfig", "AgentRunReport", "AgentSweep", "DEFAULT_PIPELINE",
-    "DesignState", "EdaAgent", "PlanAction", "PlanStep", "PlannerAgent",
-    "PlannerClient", "PlannerRunReport", "QorStage", "RtlGenerationStage",
-    "SimulatedPlanner", "SpecificationStage", "Stage", "StageContext",
-    "StageRecord", "StaticAnalysisStage", "SynthesisStage",
-    "VerificationStage", "agent_report_text", "format_table", "parse_action",
-    "render_action", "resolve_planner", "run_agent_sweep",
-    "sweep_report_text",
+    "AgentConfig", "AgentRunReport", "AgentSweep", "DesignState",
+    "EdaAgent", "GroundedPolicy", "PlanAction", "PlanStep", "PlannerAgent",
+    "PlannerClient", "PlannerRunReport", "ScriptedPolicy",
+    "SimulatedPlanner", "StageRecord", "agent_report_text", "format_table",
+    "parse_action", "render_action", "resolve_planner", "run_agent_sweep",
+    "run_plan_loop", "sweep_report_text",
 ]

@@ -1,10 +1,11 @@
 """The unified LLM-EDA agent (Fig. 6).
 
-Orchestrates the stage pipeline over the multi-modal design state, with
-cross-stage feedback: a downstream failure can re-open an upstream stage
-(verification failure → regenerate RTL with the accumulated feedback), and
-QoR estimation closes the loop on synthesis-script choice.  The ablation
-knob ``enable_feedback`` is experiment E9's subject.
+Runs a design through Fig. 6's six steps as a scripted plan on the agent
+loop (:func:`~repro.core.planner.run_plan_loop`), with cross-stage
+feedback: a downstream failure can reopen an upstream step (a failed
+static analysis or verification → regenerate RTL with the accumulated
+feedback), and QoR estimation closes the loop on synthesis-script choice.
+The ablation knob ``enable_feedback`` is experiment E9's subject.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..bench.problems import Problem
-from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..engine import Budget, RunRecord
 from ..llm.model import SimulatedLLM
 from ..obs import flush_metrics, get_tracer
 from ..service import LLMClient, resolve_client
-from .stages import DEFAULT_PIPELINE, Stage, StageContext
+from ..tools import ToolContext, ToolOutcome
+from . import steps as fig6
+from .planner import PlanStep, run_plan_loop
+from .policy import PlanAction
 from .state import DesignState
 
 
@@ -27,6 +31,62 @@ class AgentConfig:
     max_reopens: int = 2        # upstream re-entries on downstream failure
     autochip_k: int = 3
     autochip_depth: int = 3
+
+
+class ScriptedPolicy:
+    """Fig. 6's fixed pipeline as a policy: the six steps, in order.
+
+    Owns the reopen rule: only a failed ``static_analysis`` or
+    ``verification`` reopens ``rtl_generation``, at most ``max_reopens``
+    times, each on a client derived with a fresh seed (the accumulated
+    design state keeps the evidence).  With feedback off nothing reopens.
+    Any other failure stops the run.
+    """
+
+    PLAN = (("specification", fig6.specification),
+            ("rtl_generation", fig6.rtl_generation),
+            ("static_analysis", fig6.static_analysis),
+            ("verification", fig6.verification),
+            ("synthesis", fig6.synthesis),
+            ("qor", fig6.qor))
+    REOPENED_BY = ("static_analysis", "verification")
+
+    def __init__(self, config: AgentConfig):
+        self.config = config
+        self.args = {"enable_feedback": config.enable_feedback,
+                     "k": config.autochip_k, "depth": config.autochip_depth}
+        self.index = 0
+        self.reopens = 0
+        self.attempts: dict[str, int] = {}
+
+    def next_action(self, ctx: ToolContext, steps: list[PlanStep],
+                    round_no: int) -> PlanAction:
+        return PlanAction(self.PLAN[self.index][0], self.args)
+
+    def act(self, ctx: ToolContext, action: PlanAction) -> ToolOutcome:
+        name, fn = self.PLAN[self.index]
+        self.attempts[name] = self.attempts.get(name, 0) + 1
+        with get_tracer().span(f"stage.{name}",
+                               attempt=self.attempts[name]) as sp:
+            outcome = fn(ctx, action.args)
+            sp.set(success=outcome.ok)
+        return outcome
+
+    def observe(self, ctx: ToolContext,
+                steps: list[PlanStep]) -> str | None:
+        last = steps[-1]
+        if last.ok:
+            self.index += 1
+            return "complete" if self.index == len(self.PLAN) else None
+        cfg = self.config
+        if (cfg.enable_feedback and self.reopens < cfg.max_reopens
+                and last.tool in self.REOPENED_BY):
+            self.reopens += 1
+            ctx.seed += 1000
+            ctx.llm = ctx.llm.derive(ctx.seed)
+            self.index = 1          # back to rtl_generation
+            return None
+        return "stage-failure"
 
 
 @dataclass
@@ -51,106 +111,39 @@ class AgentRunReport:
 class EdaAgent:
     """Runs a design through the full spec-to-QoR pipeline."""
 
-    def __init__(self, config: AgentConfig | None = None, seed: int = 0,
-                 pipeline: tuple[Stage, ...] = DEFAULT_PIPELINE):
+    def __init__(self, config: AgentConfig | None = None, seed: int = 0):
         self.config = config or AgentConfig()
         self.seed = seed
-        self.pipeline = pipeline
 
     def run(self, problem: Problem,
             budget: Budget | None = None) -> AgentRunReport:
         cfg = self.config
-        # REPRO_AGENT_PLANNER=1 swaps the fixed stage tuple for the
-        # plan/act/observe loop; off (the default) this method is exactly
-        # the pre-planner code path, so golden fixtures replay unchanged.
-        from ..config import get_settings
-        if get_settings().agent_planner_enabled:
-            return self._run_planned(problem, budget)
         llm = resolve_client(cfg.model, seed=self.seed)
-        ctx = StageContext(llm=llm, problem=problem, seed=self.seed,
-                           enable_feedback=cfg.enable_feedback,
-                           autochip_k=cfg.autochip_k,
-                           autochip_depth=cfg.autochip_depth)
         state = DesignState(spec=problem.spec)
+        ctx = ToolContext(llm=llm, seed=self.seed, problem=problem,
+                          state=state)
+        policy = ScriptedPolicy(cfg)
         record = RunRecord(flow="agent", problem_id=problem.problem_id,
                            model=llm.profile.name)
-        tokens_before = llm.usage.total_tokens
-        st = {"index": 0, "reopens": 0}
-        attempts: dict[str, int] = {}
 
         tracer = get_tracer()
         with tracer.span("agent.run", problem=problem.problem_id,
                          model=llm.profile.name, seed=self.seed,
                          feedback=cfg.enable_feedback) as run_span:
-
-            # The kernel hosts the stage loop without a per-round span
-            # (span_name=None): the per-stage spans below must stay direct
-            # children of agent.run.
-            def stop(kstate: RoundState) -> str | None:
-                return "complete" if st["index"] >= len(self.pipeline) \
-                    else None
-
-            def step(kstate: RoundState, _sp) -> str | None:
-                stage = self.pipeline[st["index"]]
-                attempts[stage.name] = attempts.get(stage.name, 0) + 1
-                with tracer.span(f"stage.{stage.name}",
-                                 attempt=attempts[stage.name]) as sp:
-                    ok = stage.run(state, ctx)
-                    sp.set(success=ok)
-                if ok:
-                    st["index"] += 1
-                    return None
-                # Cross-stage feedback: a verification or static-analysis
-                # failure re-opens RTL generation with a fresh seed (the
-                # accumulated design state keeps the evidence).
-                if (cfg.enable_feedback and st["reopens"] < cfg.max_reopens
-                        and stage.name in ("static_analysis",
-                                           "verification")):
-                    st["reopens"] += 1
-                    ctx.seed += 1000
-                    ctx.llm = ctx.llm.derive(ctx.seed)
-                    st["index"] = next(i for i, s
-                                       in enumerate(self.pipeline)
-                                       if s.name == "rtl_generation")
-                    return None
-                # Hard failure: record remaining stages as skipped and stop.
-                return "stage-failure"
-
-            LoopKernel(step=step, stop=stop, record=record, budget=budget,
-                       span_name=None).run()
-
-            reopens = st["reopens"]
-            success = (st["index"] >= len(self.pipeline)
+            run_plan_loop(policy, ctx, record, budget=budget)
+            # Success: the plan ran to the end, no verification in the
+            # last len(PLAN) records failed, and the design verified.
+            success = (record.stop_reason == "complete"
                        and all(r.stage != "verification" or r.success
-                               for r in state.history[-len(self.pipeline):]))
-            run_span.set(success=success and state.verified, reopens=reopens,
-                         tokens=llm.usage.total_tokens)
+                               for r in state.history[-len(policy.PLAN):])
+                       and state.verified)
+            run_span.set(success=success, reopens=policy.reopens,
+                         tokens=record.total_tokens)
         flush_metrics(tracer)
-        record.charge_tokens(llm.usage.total_tokens - tokens_before)
         report = AgentRunReport(problem.problem_id, llm.profile.name, state,
-                                success and state.verified,
-                                reopens=reopens,
-                                total_tokens=llm.usage.total_tokens)
+                                success, reopens=policy.reopens,
+                                total_tokens=record.total_tokens)
         report.run_record = record
-        return report
-
-    def _run_planned(self, problem: Problem,
-                     budget: Budget | None = None) -> AgentRunReport:
-        """Compatibility view: the planner's transcript rendered as an
-        :class:`AgentRunReport` (same surface the reports module reads)."""
-        from .planner import PlannerAgent
-
-        goal = ("design, verify and synthesize the module, then report "
-                "its PPA")
-        planner = PlannerAgent(self.config.model, seed=self.seed)
-        result = planner.run(goal, problem, budget=budget)
-        report = AgentRunReport(result.problem_id, result.model,
-                                result.state,
-                                result.success and result.state.verified,
-                                reopens=0,
-                                total_tokens=result.total_tokens)
-        report.run_record = result.run_record
-        report.plan = result
         return report
 
 

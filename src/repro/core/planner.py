@@ -1,23 +1,33 @@
-"""The planner agent: a plan/act/observe loop over the typed tool registry.
+"""The agent loop: plan/act/observe, with a policy choosing each action.
 
 This is the ChatEDA shape (PAPERS.md) the paper's agent half describes —
-an LLM planner decomposing a natural-language goal into EDA tool
-invocations — replacing the fixed ``DEFAULT_PIPELINE`` stage tuple with
-planned tool calls:
+task planning and tool execution in one loop, where a fixed pipeline is
+just a fixed plan.  :func:`run_plan_loop` is the only agent loop in the
+repo; each round a *policy* supplies the next action:
 
-1. **ground** — rank the registered tools against the goal plus the most
-   recent observation via the RAG tool-doc index, gate on each tool's
-   declared state preconditions, and render the shortlist (with its
-   citations) into the planning prompt;
-2. **plan** — the seeded planner head (:mod:`repro.core.policy`, riding
-   the broker seam under ``REPRO_SERVICE=1``) emits one structured
-   next-action;
-3. **act** — the :class:`~repro.engine.LoopKernel` round invokes the tool
-   through the registry's validation seam;
-4. **observe** — the outcome text (or the validation error, for malformed
-   or premature actions) is folded into the transcript the next round's
-   grounding query and prompt read.  Critic rejection verdicts land in
-   ``DesignState.critic_verdicts`` and thread into regeneration feedback.
+* :class:`GroundedPolicy` (the :class:`PlannerAgent` default) decomposes a
+  natural-language goal into tool invocations:
+
+  1. **ground** — rank the registered tools against the goal plus the
+     most recent observation via the RAG tool-doc index, gate on each
+     tool's declared state preconditions, and render the shortlist (with
+     its citations) into the planning prompt;
+  2. **plan** — the seeded planner head (:mod:`repro.core.policy`, riding
+     the broker seam under ``REPRO_SERVICE=1``) emits one structured
+     next-action;
+  3. **act** — the tool runs through the registry's validation seam;
+  4. **observe** — the outcome text (or the validation error, for
+     malformed or premature actions) is folded into the transcript the
+     next round's grounding query and prompt read.  Critic rejection
+     verdicts land in ``DesignState.critic_verdicts`` and thread into
+     regeneration feedback.
+
+* :class:`~repro.core.agent.ScriptedPolicy` (the
+  :class:`~repro.core.agent.EdaAgent` policy) emits Fig. 6's six steps in
+  order and reopens RTL generation when a downstream check fails.
+
+Each round runs on the :class:`~repro.engine.LoopKernel` and charges the
+round's model spend to the run record, so token budgets bind.
 
 Determinism: grounding is TF-IDF over fixed text, the planner head is a
 pure function of (prompt, seed, profile), and every tool honours the
@@ -29,18 +39,21 @@ and scheduler fan-out (DESIGN.md §13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from ..bench.problems import Problem
-from ..config import get_settings
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
 from ..llm.model import SimulatedLLM
 from ..obs import flush_metrics, get_tracer
 from ..service import LLMClient, resolve_client
-from ..tools import (ToolContext, ToolError, build_tool_index, get_tool,
-                     list_tools)
-from .policy import parse_action, render_candidate, resolve_planner
+from ..tools import (ToolContext, ToolError, ToolOutcome, build_tool_index,
+                     get_tool, list_tools)
+from .policy import (PlanAction, parse_action, render_candidate,
+                     resolve_planner)
 from .state import DesignState
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from .agent import ScriptedPolicy
 
 #: Tools that are sensible to repeat even after they once succeeded
 #: (reports and checks re-measure; generation/tuning change state).
@@ -49,6 +62,7 @@ _REPEATABLE = ("run_testbench", "ppa_report", "lint_rtl", "compile_rtl",
 
 _OBS_TAIL = 3          # observations rendered into the planning prompt
 _SHORTLIST = 4         # candidates offered per round
+MAX_STEPS = 12         # planner rounds per run when the caller sets none
 
 
 def _tokens(text: str) -> int:
@@ -101,29 +115,71 @@ class PlannerRunReport:
                 f"{' -> '.join(self.tool_sequence) or '-'}")
 
 
-class PlannerAgent:
-    """Plan/act/observe over the tool registry (see module docstring).
+def run_plan_loop(policy: GroundedPolicy | ScriptedPolicy,
+                  ctx: ToolContext, record: RunRecord, *,
+                  budget: Budget | None = None,
+                  max_rounds: int | None = None) -> list[PlanStep]:
+    """The agent loop (see module docstring); returns the transcript.
 
-    ``goal_check(ctx) -> bool`` decides success (and gates the ``finish``
-    candidate); without one, a verified design counts as done.
+    Each round the policy's ``next_action(ctx, steps, round_no)`` supplies
+    a :class:`PlanAction`, its ``act(ctx, action)`` runs it, and its
+    ``observe(ctx, steps)`` reads the new step and returns a stop reason
+    or ``None``.  A round charges the spend of the client it started on,
+    so ``observe`` is the only place a policy may move the context to a
+    derived client.  ``finish`` is the terminal action, not a tool
+    evaluation.
     """
+    steps: list[PlanStep] = []
 
-    def __init__(self, model: str | SimulatedLLM | LLMClient = "gpt-4o",
-                 seed: int = 0, max_steps: int | None = None,
+    def step(kstate: RoundState, _sp) -> str | None:
+        client = ctx.llm
+        spent = client.usage.total_tokens
+        action = policy.next_action(ctx, steps, kstate.round_no)
+        if action.malformed:
+            ok, obs = False, f"invalid action: {action.error}"
+        else:
+            outcome = policy.act(ctx, action)
+            ok, obs = outcome.ok, outcome.observation
+            if action.tool != "finish":
+                record.tool_evaluations += 1
+        steps.append(PlanStep(kstate.round_no, action.tool,
+                              dict(action.args), ok, obs,
+                              citations=action.citations,
+                              rationale=action.rationale,
+                              malformed=action.malformed))
+        record.charge_tokens(client.usage.total_tokens - spent)
+        return policy.observe(ctx, steps)
+
+    # No per-round kernel span (span_name=None): each policy emits its own
+    # span structure under the caller's root span.
+    LoopKernel(step=step, record=record, budget=budget,
+               max_rounds=max_rounds, span_name=None).run()
+    return steps
+
+
+class GroundedPolicy:
+    """The planner's policy: ground a shortlist, then ask the planner head
+    (``goal_check`` as for :class:`PlannerAgent`)."""
+
+    def __init__(self, goal: str, ctx: ToolContext,
                  goal_check: Callable[[ToolContext], bool] | None = None):
-        self.model = model
-        self.seed = seed
-        self.max_steps = max_steps
+        self.goal = goal
         self.goal_check = goal_check
+        self.head = resolve_planner(ctx.llm.profile, seed=ctx.seed)
+        problem = ctx.problem
+        self.tool_index = build_tool_index(
+            list_tools(), spec_text=goal + " " + (problem.spec
+                                                  if problem else ""))
 
     # -- grounding ------------------------------------------------------------
 
-    def _satisfied(self, ctx: ToolContext) -> bool:
+    def satisfied(self, ctx: ToolContext) -> bool:
         if self.goal_check is not None:
             return bool(self.goal_check(ctx))
         return ctx.state.verified
 
-    def _feedback_text(self, ctx: ToolContext) -> str:
+    @staticmethod
+    def _feedback_text(ctx: ToolContext) -> str:
         """Accumulated findings regeneration should condition on."""
         parts = list(ctx.state.lint_warnings[:6])
         parts += ctx.state.critic_verdicts[:6]
@@ -145,22 +201,22 @@ class PlannerAgent:
             return {"question": goal}
         return {}
 
-    def _shortlist(self, ctx: ToolContext, goal: str,
-                   steps: list[PlanStep], tool_index) -> list[tuple]:
+    def _shortlist(self, ctx: ToolContext,
+                   steps: list[PlanStep]) -> list[tuple]:
         """Ranked, precondition-gated (tool, args, citations) candidates.
 
         Retrieval relevance is the base score; deterministic progress
         priors (what modalities exist, what the goal still lacks) keep
         the shortlist honest when TF-IDF alone is ambiguous.
         """
-        state = ctx.state
+        state, goal = ctx.state, self.goal
         last_obs = steps[-1].observation if steps else ""
         last_tool = steps[-1].tool if steps else ""
         goal_l = goal.lower()
-        done = self._satisfied(ctx)
+        done = self.satisfied(ctx)
         succeeded = {s.tool for s in steps if s.ok and not s.malformed}
 
-        ranked = tool_index.rank(goal + " " + last_obs)
+        ranked = self.tool_index.rank(goal + " " + last_obs)
         scored = []
         for g in ranked:
             spec = get_tool(g.tool)
@@ -213,9 +269,9 @@ class PlannerAgent:
         return [(tool, self._candidate_args(ctx, tool, goal, last_obs), cites)
                 for _, tool, cites in scored[:_SHORTLIST]]
 
-    def _prompt(self, goal: str, ctx: ToolContext, steps: list[PlanStep],
+    def _prompt(self, ctx: ToolContext, steps: list[PlanStep],
                 shortlist: list[tuple]) -> str:
-        lines = [f"GOAL: {goal}",
+        lines = [f"GOAL: {self.goal}",
                  "STATE: " + ",".join(ctx.state.modalities_present())
                  + (",verified" if ctx.state.verified else "")]
         for step in steps[-_OBS_TAIL:]:
@@ -227,85 +283,80 @@ class PlannerAgent:
                                           get_tool(tool).summary))
         return "\n".join(lines)
 
-    # -- the loop -------------------------------------------------------------
+    # -- plan / act / observe -------------------------------------------------
+
+    def next_action(self, ctx: ToolContext, steps: list[PlanStep],
+                    round_no: int) -> PlanAction:
+        shortlist = self._shortlist(ctx, steps)
+        prompt = self._prompt(ctx, steps, shortlist)
+        with get_tracer().span("planner.plan", round=round_no):
+            completion = self.head.plan(prompt)
+        ctx.llm.usage.record(_tokens(prompt), _tokens(completion))
+        return parse_action(completion)
+
+    def act(self, ctx: ToolContext, action: PlanAction) -> ToolOutcome:
+        if action.tool == "finish":
+            done = self.satisfied(ctx)
+            note = (action.args.get("note")
+                    or ("goal satisfied" if done
+                        else "stopping without evidence"))
+            return ToolOutcome(done, f"finish: {note}")
+        try:
+            return get_tool(action.tool).invoke(ctx, action.args)
+        except (ToolError, KeyError) as exc:
+            return ToolOutcome(False, f"invalid action: {exc}")
+
+    def observe(self, ctx: ToolContext,
+                steps: list[PlanStep]) -> str | None:
+        last = steps[-1]
+        return "finish" if last.tool == "finish" and not last.malformed \
+            else None
+
+
+class PlannerAgent:
+    """Plan/act/observe over the tool registry (see module docstring).
+
+    ``goal_check(ctx) -> bool`` decides success (and gates the ``finish``
+    candidate); without one, a verified design counts as done.
+    """
+
+    def __init__(self, model: str | SimulatedLLM | LLMClient = "gpt-4o",
+                 seed: int = 0, max_steps: int | None = None,
+                 goal_check: Callable[[ToolContext], bool] | None = None):
+        self.model = model
+        self.seed = seed
+        self.max_steps = max_steps
+        self.goal_check = goal_check
 
     def run(self, goal: str, problem: Problem | None = None, *,
             c_source: str = "", c_top: str = "",
             budget: Budget | None = None) -> PlannerRunReport:
         llm = resolve_client(self.model, seed=self.seed)
-        planner = resolve_planner(llm.profile, seed=self.seed)
         state = DesignState(spec=problem.spec if problem else goal)
         state.module_name = problem.module_name if problem else ""
         ctx = ToolContext(llm=llm, seed=self.seed, problem=problem,
                           state=state, c_source=c_source, c_top=c_top)
-        tool_index = build_tool_index(
-            list_tools(), spec_text=goal + " " + (problem.spec
-                                                  if problem else ""))
-        max_steps = self.max_steps if self.max_steps is not None \
-            else get_settings().agent_max_steps
+        policy = GroundedPolicy(goal, ctx, self.goal_check)
         record = RunRecord(flow="planner",
                            problem_id=problem.problem_id if problem else "",
                            model=llm.profile.name)
-        steps: list[PlanStep] = []
-        tokens_before = llm.usage.total_tokens
-        charged = {"tokens": tokens_before}
 
         tracer = get_tracer()
         with tracer.span("planner.run", goal=goal[:60],
                          problem=record.problem_id, model=record.model,
                          seed=self.seed) as run_span:
-
-            def step(kstate: RoundState, _sp) -> str | None:
-                shortlist = self._shortlist(ctx, goal, steps, tool_index)
-                prompt = self._prompt(goal, ctx, steps, shortlist)
-                with tracer.span("planner.plan", round=kstate.round_no):
-                    completion = planner.plan(prompt)
-                llm.usage.record(_tokens(prompt), _tokens(completion))
-                action = parse_action(completion)
-                if action.malformed:
-                    steps.append(PlanStep(
-                        kstate.round_no, action.tool, dict(action.args),
-                        False, f"invalid action: {action.error}",
-                        malformed=True))
-                elif action.tool == "finish":
-                    done = self._satisfied(ctx)
-                    note = (action.args.get("note")
-                            or ("goal satisfied" if done
-                                else "stopping without evidence"))
-                    steps.append(PlanStep(
-                        kstate.round_no, "finish", dict(action.args), done,
-                        f"finish: {note}", citations=action.citations,
-                        rationale=action.rationale))
-                    return "finish"
-                else:
-                    try:
-                        outcome = get_tool(action.tool).invoke(
-                            ctx, action.args)
-                        ok, obs = outcome.ok, outcome.observation
-                    except (ToolError, KeyError) as exc:
-                        ok, obs = False, f"invalid action: {exc}"
-                    steps.append(PlanStep(
-                        kstate.round_no, action.tool, dict(action.args),
-                        ok, obs, citations=action.citations,
-                        rationale=action.rationale))
-                    record.tool_evaluations += 1
-                # Charge this round's model spend so token budgets bind.
-                total = llm.usage.total_tokens
-                record.charge_tokens(total - charged["tokens"])
-                charged["tokens"] = total
-                return None
-
-            LoopKernel(step=step, record=record, budget=budget,
-                       max_rounds=max_steps, span_name=None).run()
-
-            success = self._satisfied(ctx)
+            steps = run_plan_loop(
+                policy, ctx, record, budget=budget,
+                max_rounds=self.max_steps if self.max_steps is not None
+                else MAX_STEPS)
+            success = policy.satisfied(ctx)
             run_span.set(success=success, steps=len(steps),
-                         tokens=llm.usage.total_tokens - tokens_before)
+                         tokens=record.total_tokens)
         flush_metrics(tracer)
         report = PlannerRunReport(
             goal=goal, problem_id=record.problem_id, model=record.model,
             state=state, success=success, steps=steps,
             stop_reason=record.stop_reason,
-            total_tokens=llm.usage.total_tokens - tokens_before)
+            total_tokens=record.total_tokens)
         report.run_record = record
         return report

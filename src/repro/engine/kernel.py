@@ -9,7 +9,7 @@ skeletons they now run on:
 * :class:`LoopKernel` — the bare round loop: round counting, optional
   per-round tracing spans, :class:`~repro.engine.budget.Budget`
   enforcement, engine counters, and a :class:`~repro.engine.record.RunRecord`
-  ledger.  Loops with irregular bodies (the agent's stage pipeline, the SLT
+  ledger.  Loops with irregular bodies (the agent loop, the SLT
   iteration, HLS repair rounds) plug a ``step`` closure straight into it.
 * :class:`RefinementEngine` — the candidate-loop specialisation: pluggable
   ``candidates`` (a :class:`~repro.engine.generate.GenerationBatch`

@@ -2,11 +2,11 @@
 
 Each :class:`TaskSpec` is a natural-language goal plus a machine-checkable
 success predicate over the final :class:`~repro.tools.ToolContext`.  The
-scenarios deliberately span sequences the fixed stage pipeline can and
-cannot express — ``alu_ppa_tune`` needs PPA-report → targeted-fix →
-re-report, a loop ``DEFAULT_PIPELINE`` never takes (it visits synthesis
-exactly once); ``gray_crosscheck`` and ``hls_malloc`` live entirely
-outside the pipeline's stage set.
+scenarios deliberately span sequences the agent's fixed Fig. 6 plan
+(:class:`~repro.core.agent.ScriptedPolicy`) can and cannot express —
+``alu_ppa_tune`` needs PPA-report → targeted-fix → re-report, a loop the
+scripted plan never takes (it visits synthesis exactly once);
+``gray_crosscheck`` and ``hls_malloc`` live entirely outside its steps.
 
 ``run_task_suite`` fans (task, seed) cells through the
 :class:`~repro.exec.SweepScheduler` — journaled and resumable when a

@@ -9,6 +9,7 @@ what it does, what it needs, what it reports.
 
 from __future__ import annotations
 
+from ..obs import get_tracer
 from .spec import (ToolArg, ToolContext, ToolCost, ToolOutcome, ToolSpec,
                    register_tool)
 
@@ -16,7 +17,7 @@ from .spec import (ToolArg, ToolContext, ToolCost, ToolOutcome, ToolSpec,
 def _record(ctx: ToolContext, tool: str, ok: bool, detail: str,
             **artifacts) -> None:
     """Append to the shared design-state history (the provenance ledger the
-    stage pipeline also writes, so reports render either way)."""
+    agent's steps also write, so reports render either way)."""
     if ctx.state is not None:
         ctx.state.record(tool, ok, detail, **artifacts)
 
@@ -39,9 +40,12 @@ def _no_problem(ctx: ToolContext, tool: str) -> ToolOutcome | None:
 
 # -- generation ---------------------------------------------------------------
 
-def _generate_rtl(ctx: ToolContext, args: dict) -> ToolOutcome:
+def autochip_rtl(ctx: ToolContext, args: dict,
+                 name: str = "generate_rtl") -> ToolOutcome:
+    """AutoChip generation into the RTL modality, recorded under ``name``
+    (the agent's ``rtl_generation`` step shares this body)."""
     from ..flows.autochip import AutoChip, AutoChipConfig
-    missing = _no_problem(ctx, "generate_rtl")
+    missing = _no_problem(ctx, name)
     if missing is not None:
         return missing
     feedback = args.get("feedback") or ""
@@ -50,7 +54,7 @@ def _generate_rtl(ctx: ToolContext, args: dict) -> ToolOutcome:
     outcome = chip.run(ctx.problem, initial_feedback=feedback)
     ctx.state.rtl_source = outcome.best_source
     ctx.state.module_name = ctx.problem.module_name
-    _record(ctx, "generate_rtl", outcome.success, outcome.summary(),
+    _record(ctx, name, outcome.success, outcome.summary(),
             score=outcome.best_score, generations=outcome.generations)
     return ToolOutcome(
         outcome.success,
@@ -67,7 +71,7 @@ register_tool(ToolSpec(
         "no RTL exists yet or the current RTL failed verification; pass "
         "accumulated lint or critic feedback to condition regeneration. "
         "Reports the best candidate score and writes the RTL modality.",
-    fn=_generate_rtl,
+    fn=autochip_rtl,
     args=(ToolArg("k", int, "candidates per round", default=3),
           ToolArg("depth", int, "feedback iterations", default=3),
           ToolArg("feedback", str, "prior findings to condition on",
@@ -109,18 +113,30 @@ register_tool(ToolSpec(
 ))
 
 
-def _lint_rtl(ctx: ToolContext, args: dict) -> ToolOutcome:
+def lint_findings(ctx: ToolContext) -> tuple[list[str], str]:
+    """Lint the current RTL into ``state.lint_warnings``.
+
+    Returns the blocking findings and the parse error text ("" when the
+    RTL parsed).  Shared by ``lint_rtl`` and the agent's static analysis.
+    """
     from ..hdl import lint_source, parse
     try:
         source = parse(ctx.state.rtl_source)
     except Exception as exc:
-        _record(ctx, "lint_rtl", False, f"parse failed: {exc}")
-        return ToolOutcome(False, f"lint aborted, parse failed: {exc}",
-                           {"error": str(exc)})
+        return [], str(exc)
     warnings = [str(w) for w in lint_source(source)]
     ctx.state.lint_warnings = warnings
-    blocking = [w for w in warnings
-                if "LINT-UNDECL" in w or "LINT-MULTIDRIVE" in w]
+    return [w for w in warnings
+            if "LINT-UNDECL" in w or "LINT-MULTIDRIVE" in w], ""
+
+
+def _lint_rtl(ctx: ToolContext, args: dict) -> ToolOutcome:
+    blocking, error = lint_findings(ctx)
+    if error:
+        _record(ctx, "lint_rtl", False, f"parse failed: {error}")
+        return ToolOutcome(False, f"lint aborted, parse failed: {error}",
+                           {"error": error})
+    warnings = ctx.state.lint_warnings
     detail = (f"{len(warnings)} warnings ({len(blocking)} blocking)")
     _record(ctx, "lint_rtl", not blocking, detail)
     shown = "; ".join(warnings[:4]) or "clean"
@@ -304,21 +320,27 @@ register_tool(ToolSpec(
 
 # -- synthesis / QoR ----------------------------------------------------------
 
-def _synthesize(ctx: ToolContext, args: dict) -> ToolOutcome:
+def synthesize_netlist(ctx: ToolContext, args: dict,
+                       name: str = "synthesize") -> ToolOutcome:
+    """Default-script synthesis into the netlist modality, recorded under
+    ``name`` (the agent's ``synthesis`` step shares this body)."""
     from ..synth import optimize, synthesize_source
     from ..synth.optimize import DEFAULT_SCRIPT
     try:
-        synthesized = synthesize_source(ctx.state.rtl_source,
-                                        _top(ctx))
+        with get_tracer().span("synthesis.elaborate"):
+            synthesized = synthesize_source(ctx.state.rtl_source,
+                                            _top(ctx))
     except Exception as exc:
-        _record(ctx, "synthesize", False, f"synthesis failed: {exc}")
+        _record(ctx, name, False, f"synthesis failed: {exc}")
         return ToolOutcome(False, f"synthesis failed: {exc}",
                            {"error": str(exc)})
-    optimized = optimize(synthesized.aig, DEFAULT_SCRIPT)
+    with get_tracer().span("synthesis.optimize"):
+        optimized = optimize(synthesized.aig, DEFAULT_SCRIPT)
     synthesized.aig = optimized.aig
     ctx.state.netlist = synthesized
     ctx.state.aig_stats = optimized.aig.stats()
-    _record(ctx, "synthesize", True, f"netlist: {ctx.state.aig_stats}")
+    _record(ctx, name, True, f"netlist: {ctx.state.aig_stats}",
+            history=optimized.history)
     return ToolOutcome(True, f"synthesized netlist: {ctx.state.aig_stats}",
                        {"aig_stats": dict(ctx.state.aig_stats)})
 
@@ -330,7 +352,7 @@ register_tool(ToolSpec(
         "and-inverter-graph netlist, then run the default optimization "
         "script. Produces the netlist modality ppa_report needs. Re-run "
         "after any RTL change to refresh the netlist.",
-    fn=_synthesize,
+    fn=synthesize_netlist,
     returns=("aig_stats",),
     requires=("rtl",),
     cost=ToolCost(est_evals=1),

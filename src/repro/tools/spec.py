@@ -71,7 +71,7 @@ class ToolContext:
     """Everything a tool may read: the run's coordinates and design state.
 
     Mutable by design — tools enrich ``state`` (the same multi-modal
-    :class:`~repro.core.state.DesignState` the stage pipeline used) and
+    :class:`~repro.core.state.DesignState` the agent's steps write) and
     stash planner-visible facts in ``scratch``.
     """
 

@@ -106,3 +106,92 @@ class TestAgent:
         lines = text.splitlines()
         assert len(lines) == 4
         assert len(set(len(l) for l in lines)) <= 2
+
+
+class TestAgentReopen:
+    """The reopen rule, forced: no natural run reaches it.
+
+    A stub critic rejects the agent's first ``n`` static-analysis reviews
+    (every other flow gets no critic), so static analysis fails and the
+    agent must reopen RTL generation on a derived client.  The pinned
+    sequences were recorded before the fixed pipeline became a scripted
+    plan on the planner's loop.
+    """
+
+    PASS = [("specification", True), ("rtl_generation", True),
+            ("static_analysis", True), ("verification", True),
+            ("synthesis", True), ("qor", True)]
+    REJECTED = [("rtl_generation", True), ("static_analysis", False)]
+
+    def _run(self, monkeypatch, rejections, enable_feedback=True):
+        import hashlib
+
+        import repro.critic as critic_mod
+        from repro.critic.verdict import CriticFailure, Verdict
+
+        left = [rejections]
+
+        class Rejecting:
+            def review(self, texts, module_name=None):
+                if left[0] > 0:
+                    left[0] -= 1
+                    return [Verdict(False, failures=(CriticFailure(
+                        "judge", "stub", "forced rejection"),))]
+                return [Verdict(True)]
+
+        monkeypatch.setattr(
+            critic_mod, "resolve_critic",
+            lambda flow="", seed=0: Rejecting() if flow == "agent" else None)
+        report = EdaAgent(AgentConfig(model="gpt-4o",
+                                      enable_feedback=enable_feedback),
+                          seed=1).run(get_problem("c2_gray"))
+        rtl = hashlib.sha256(report.state.rtl_source.encode()).hexdigest()
+        history = [(r.stage, r.success) for r in report.state.history]
+        return report, history, rtl[:12]
+
+    def test_one_rejection_reopens_and_completes(self, monkeypatch):
+        report, history, rtl = self._run(monkeypatch, 1)
+        assert history == self.PASS[:1] + self.REJECTED + self.PASS[1:]
+        assert len(history) == 8
+        assert report.success and report.reopens == 1
+        assert report.run_record.stop_reason == "complete"
+        assert rtl == "39fd653e7d89"
+
+    def test_reopens_are_bounded(self, monkeypatch):
+        report, history, rtl = self._run(monkeypatch, 5)
+        assert history == self.PASS[:1] + self.REJECTED * 3
+        assert not report.success and report.reopens == 2
+        assert report.run_record.stop_reason == "stage-failure"
+        assert rtl == "10f52bbe240d"
+
+    def test_feedback_off_never_reopens(self, monkeypatch):
+        report, history, rtl = self._run(monkeypatch, 1,
+                                         enable_feedback=False)
+        assert history == self.PASS[:1] + self.REJECTED
+        assert not report.success and report.reopens == 0
+        assert report.run_record.stop_reason == "stage-failure"
+        assert rtl == "f760a9aa6962"
+
+    def test_reopen_tokens_are_charged(self, monkeypatch):
+        # A reopen regenerates (and mines assertions) on a derived client
+        # with its own usage ledger; the run must charge that spend too.
+        from repro.llm.model import SimulatedLLM
+
+        derived = []
+        derive = SimulatedLLM.derive
+
+        def spy(self, seed):
+            client = derive(self, seed)
+            derived.append(client)
+            return client
+
+        monkeypatch.setattr(SimulatedLLM, "derive", spy)
+        once, _, _ = self._run(monkeypatch, 1)
+        assert len(derived) == 1
+        reopen_spend = derived[0].usage.total_tokens
+        assert reopen_spend > 0
+        # Feedback off stops at the same first-pass static analysis, so
+        # its spend is exactly the first pass.
+        first_pass, _, _ = self._run(monkeypatch, 1, enable_feedback=False)
+        assert once.total_tokens == first_pass.total_tokens + reopen_spend
+        assert once.run_record.total_tokens == once.total_tokens

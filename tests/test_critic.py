@@ -461,17 +461,18 @@ class TestAgentLintThreading:
         return captured
 
     def _run_stage(self, monkeypatch, warnings, enable_feedback=True):
-        from repro.core.stages import RtlGenerationStage, StageContext
         from repro.core.state import DesignState
+        from repro.core.steps import rtl_generation
         from repro.service.client import resolve_client
+        from repro.tools import ToolContext
         captured = self._capture(monkeypatch)
         problem = get_problem("c1_mux2")
         state = DesignState(spec=problem.spec)
         state.lint_warnings = warnings
-        ctx = StageContext(llm=resolve_client("chatgpt-3.5", seed=0),
-                           problem=problem, autochip_k=1, autochip_depth=1,
-                           enable_feedback=enable_feedback)
-        RtlGenerationStage().run(state, ctx)
+        ctx = ToolContext(llm=resolve_client("chatgpt-3.5", seed=0),
+                          problem=problem, state=state)
+        rtl_generation(ctx, {"enable_feedback": enable_feedback,
+                             "k": 1, "depth": 1})
         return captured
 
     def test_lint_warnings_thread_into_regeneration(self, monkeypatch):

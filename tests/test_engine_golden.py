@@ -266,17 +266,18 @@ def test_golden_critic_off_replay(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden_planner_off_replay(name, monkeypatch):
-    """Explicit ``REPRO_AGENT_PLANNER=0`` replays every fixture byte-identical.
+    """The removed planner switch is inert: every fixture still replays.
 
-    The planner's byte-identity acceptance gate: with the knob off
-    (explicitly, not just unset) ``EdaAgent.run`` takes exactly the fixed
-    ``DEFAULT_PIPELINE`` path and no other flow reads the knob at all.
+    ``REPRO_AGENT_PLANNER`` once routed ``EdaAgent.run`` to the planner's
+    tools instead of the fixed pipeline.  Both now run the one agent loop
+    and nothing reads the variable, so a stale ``=1`` left in an
+    environment must not move any flow off its recorded results.
     """
     if REGEN:
         pytest.skip("fixtures regenerate from the direct path only")
     path = _fixture_path(name)
     assert path.exists()
-    monkeypatch.setenv("REPRO_AGENT_PLANNER", "0")
+    monkeypatch.setenv("REPRO_AGENT_PLANNER", "1")
     want = json.loads(path.read_text())
     got = _run_mode(name, "direct", monkeypatch)
     assert got == want

@@ -8,8 +8,8 @@ execution, plus the pipeline-inexpressible PPA tuning loop.
 
 import pytest
 
-from repro.core import (PlannerAgent, parse_action, render_action,
-                        resolve_planner)
+from repro.core import (GroundedPolicy, PlannerAgent, parse_action,
+                        render_action, resolve_planner)
 from repro.core.state import DesignState
 from repro.engine import Budget
 from repro.exec import SweepScheduler, planner_task_cell
@@ -167,7 +167,7 @@ class TestCriticThreading:
         outcome = get_tool("critic_review").invoke(ctx)
         assert not outcome.ok
         assert state.critic_verdicts
-        feedback = PlannerAgent("gpt-4o")._feedback_text(ctx)
+        feedback = GroundedPolicy._feedback_text(ctx)
         assert state.critic_verdicts[0] in feedback
 
 
