@@ -34,9 +34,7 @@ ENV_SERVICE_RETRIES = "REPRO_SERVICE_RETRIES"
 ENV_SERVICE_BREAKER_THRESHOLD = "REPRO_SERVICE_BREAKER_THRESHOLD"
 ENV_SERVICE_BREAKER_RESET_S = "REPRO_SERVICE_BREAKER_RESET_S"
 ENV_SERVICE_TIMEOUT_S = "REPRO_SERVICE_TIMEOUT_S"
-ENV_SERVICE_SHARDS = "REPRO_SERVICE_SHARDS"
 ENV_SERVICE_WORKERS = "REPRO_SERVICE_WORKERS"
-ENV_SERVICE_TENANT_SHARE = "REPRO_SERVICE_TENANT_SHARE"
 ENV_FULL_EVAL = "REPRO_FULL_EVAL"
 ENV_CRITIC = "REPRO_CRITIC"
 ENV_CRITIC_JUDGE = "REPRO_CRITIC_JUDGE"
@@ -240,24 +238,12 @@ class Settings:
         return None if value <= 0 else value
 
     @property
-    def service_shards(self) -> int:
-        """Broker shard count; >1 makes :func:`get_default_broker` return a
-        consistent-hash :class:`~repro.service.router.ShardedRouter`."""
-        return max(1, self.env_int(ENV_SERVICE_SHARDS, 1))
-
-    @property
     def service_workers(self) -> int | None:
-        """Bounded backend-call slots per broker shard (models one serving
-        process's worker pool); ``0`` (default) means one slot per lane."""
+        """Bounded backend-call slots shared by every lane of the broker
+        (models one serving process's worker pool); ``0`` (default) means
+        one slot per lane."""
         value = self.env_int(ENV_SERVICE_WORKERS, 0)
         return None if value <= 0 else value
-
-    @property
-    def service_tenant_share(self) -> float:
-        """Max fraction of total queue capacity one tenant may hold in
-        flight through the router; ``1.0`` disables tenant admission."""
-        value = self.env_float(ENV_SERVICE_TENANT_SHARE, 1.0)
-        return min(1.0, max(0.01, value))
 
     # -- run engine ----------------------------------------------------------
 
@@ -318,9 +304,7 @@ class Settings:
             "service_breaker_threshold": self.service_breaker_threshold,
             "service_breaker_reset_s": self.service_breaker_reset_s,
             "service_timeout_s": self.service_timeout_s,
-            "service_shards": self.service_shards,
             "service_workers": self.service_workers,
-            "service_tenant_share": self.service_tenant_share,
             "gen_concurrency": self.gen_concurrency,
             "sim_engine": self.sim_engine,
             "store": self.store_enabled,

@@ -131,12 +131,8 @@ class EdaAgent:
                          model=llm.profile.name, seed=self.seed,
                          feedback=cfg.enable_feedback) as run_span:
             run_plan_loop(policy, ctx, record, budget=budget)
-            # Success: the plan ran to the end, no verification in the
-            # last len(PLAN) records failed, and the design verified.
-            success = (record.stop_reason == "complete"
-                       and all(r.stage != "verification" or r.success
-                               for r in state.history[-len(policy.PLAN):])
-                       and state.verified)
+            # "complete" means the last attempt of every step passed.
+            success = record.stop_reason == "complete" and state.verified
             run_span.set(success=success, reopens=policy.reopens,
                          tokens=record.total_tokens)
         flush_metrics(tracer)

@@ -1,10 +1,10 @@
-"""``repro.loadgen`` — seeded traffic replay against the sharded service.
+"""``repro.loadgen`` — seeded traffic replay against the model broker.
 
 Synthesizes sessions for thousands of simulated concurrent users (mixed
 flow kinds, heavy-tailed deterministic arrival times), replays them
-against a :class:`~repro.service.router.ShardedRouter`, and reports
+against one :class:`~repro.service.broker.ModelBroker`, and reports
 p50/p95/p99 latency, shed rate, breaker trips and stranded futures.  See
-``benchmarks/bench_service.py`` for the measured shard-scaling curve and
+``benchmarks/bench_service.py`` for the measured worker-slot curve and
 ``python -m repro.loadgen --help`` for the CLI.
 """
 

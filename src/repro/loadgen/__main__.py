@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.loadgen --users 500 --shards 4``."""
+"""CLI: ``python -m repro.loadgen --users 500 --workers 8``."""
 
 from __future__ import annotations
 
@@ -16,20 +16,18 @@ from .workload import LoadConfig
 def main(argv=None) -> int:
     parser = build_parser(
         prog="python -m repro.loadgen",
-        description="Replay seeded user sessions against the sharded "
-                    "serving router and report latency/shed/breaker SLOs.")
+        description="Replay seeded user sessions against one model "
+                    "broker and report latency/shed/breaker SLOs.")
     parser.add_argument("--users", type=int, default=500)
-    parser.add_argument("--shards", type=int, default=1)
     add_seed_argument(parser)
     parser.add_argument("--duration", type=float, default=3.0,
                         help="arrival horizon in seconds (pre-scaling)")
     parser.add_argument("--time-scale", type=float, default=1.0,
                         help=">1 compresses the schedule (faster runs)")
     parser.add_argument("--workers", type=int, default=3,
-                        help="backend-call slots per shard")
+                        help="backend-call slots shared by every lane")
     parser.add_argument("--queue", type=int, default=64,
                         help="lane queue capacity")
-    parser.add_argument("--tenant-share", type=float, default=0.25)
     parser.add_argument("--json", dest="json_out", default=None,
                         help="also write the report as JSON to this path")
     add_store_arguments(parser, resume=False)
@@ -37,8 +35,10 @@ def main(argv=None) -> int:
 
     if args.users < 1:
         parser.error("--users must be >= 1")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
+    if args.workers < 1:
+        parser.error("--workers must be >= 1")
+    if args.queue < 1:
+        parser.error("--queue must be >= 1")
     try:
         activate_store(args)
     except CliError as exc:
@@ -49,10 +49,7 @@ def main(argv=None) -> int:
     broker_cfg = BrokerConfig(queue_capacity=args.queue,
                               max_concurrent=args.workers,
                               request_timeout_s=cfg.request_timeout_s)
-    from ..service.router import ShardedRouter
-    with ShardedRouter(shards=args.shards, config=broker_cfg,
-                       tenant_share=args.tenant_share) as router:
-        report = run_load(cfg, router=router)
+    report = run_load(cfg, broker_config=broker_cfg)
     data = report.as_dict()
     rows = [[k, v] for k, v in data.items() if k != "per_tenant_ok"]
     print(format_table(["metric", "value"], rows))

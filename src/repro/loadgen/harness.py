@@ -1,15 +1,14 @@
-"""The load harness: replay a seeded schedule against a sharded router.
+"""The load harness: replay a seeded schedule against one model broker.
 
 One dispatcher thread walks the time-sorted schedule from
 :func:`~repro.loadgen.workload.build_schedule`, sleeps until each arrival
-(scaled by ``time_scale``), and fires the request at the router
+(scaled by ``time_scale``), and fires the request at the broker
 **without blocking** — completion is observed through future callbacks, so
 thousands of simulated users cost one thread plus the broker's own lane
 workers.  Every submission is accounted for exactly once:
 
 ``ok``                completed with a result
 ``shed``              rejected at submit (lane queue full)
-``tenant_shed``       rejected at submit (tenant over its share)
 ``breaker_rejected``  rejected at submit (lane breaker open)
 ``timeout``           future failed with :class:`RequestTimeout`
 ``failed``            future failed with a backend/hard error
@@ -26,12 +25,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..obs import get_metrics
-from ..service.broker import (BrokerConfig, CircuitOpenError, RequestTimeout,
-                              ServiceError)
-from ..service.router import LoadShedError, ShardedRouter, TenantShedError
+from ..service.broker import (BrokerConfig, CircuitOpenError, LoadShedError,
+                              ModelBroker, RequestTimeout, ServiceError)
 from .workload import Arrival, LoadBackend, LoadConfig, build_schedule, \
     method_for
 
@@ -41,14 +39,13 @@ _DELTA_COUNTERS = ("service.breaker_trips", "service.retries",
 
 @dataclass
 class LoadReport:
-    """Outcome of one campaign replay at one shard count."""
+    """Outcome of one campaign replay at one worker-slot count."""
 
     users: int
-    shards: int
+    workers: int | None          # the broker's max_concurrent (None = 1/lane)
     requests: int
     ok: int = 0
     shed: int = 0
-    tenant_shed: int = 0
     breaker_rejected: int = 0
     timeout: int = 0
     failed: int = 0
@@ -66,17 +63,11 @@ class LoadReport:
     per_tenant_ok: dict = field(default_factory=dict)
 
     def accounted(self) -> int:
-        return (self.ok + self.shed + self.tenant_shed
-                + self.breaker_rejected + self.timeout + self.failed
-                + self.stranded)
+        return (self.ok + self.shed + self.breaker_rejected + self.timeout
+                + self.failed + self.stranded)
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "users", "shards", "requests", "ok", "shed", "tenant_shed",
-            "breaker_rejected", "timeout", "failed", "stranded", "wall_s",
-            "throughput_rps", "shed_rate", "p50_ms", "p95_ms", "p99_ms",
-            "max_ms", "breaker_trips", "retries", "failed_on_shutdown",
-            "per_tenant_ok")}
+        return asdict(self)
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -86,26 +77,23 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def run_load(cfg: LoadConfig, *, shards: int = 1,
-             broker_config: BrokerConfig | None = None,
-             router: ShardedRouter | None = None) -> LoadReport:
-    """Replay ``cfg``'s schedule against ``shards`` broker shards.
+def run_load(cfg: LoadConfig, *,
+             broker_config: BrokerConfig | None = None) -> LoadReport:
+    """Replay ``cfg``'s schedule against one :class:`ModelBroker`.
 
-    Builds its own router unless one is supplied; either way the router is
-    shut down at the end of the replay (shutdown is idempotent), because
-    the zero-stranded-futures check is only meaningful after drain.  The
-    schedule itself is deterministic; the measured latencies are the
-    experiment.
+    The broker is built from ``broker_config`` and shut down at the end of
+    the replay, because the zero-stranded-futures check is only meaningful
+    after drain.  The schedule itself is deterministic; the measured
+    latencies are the experiment.
     """
     schedule = build_schedule(cfg)
     backends = {}
     for arrival in schedule:
         if arrival.model not in backends:
             backends[arrival.model] = LoadBackend(arrival.model, cfg)
-    if router is None:
-        router = ShardedRouter(shards=shards,
-                               config=broker_config or BrokerConfig())
-    report = LoadReport(users=cfg.users, shards=router.num_shards,
+    broker = ModelBroker(broker_config or BrokerConfig())
+    report = LoadReport(users=cfg.users,
+                        workers=broker.config.max_concurrent,
                         requests=len(schedule))
     metrics = get_metrics()
     before = metrics.snapshot()["counters"]
@@ -138,15 +126,10 @@ def run_load(cfg: LoadConfig, *, shards: int = 1,
         if target > now:
             time.sleep(target - now)
         try:
-            future = router.submit(
+            future = broker.submit(
                 backends[arrival.model], method_for(arrival.kind),
                 (arrival.req_id,), key=arrival.req_id,
-                timeout=cfg.request_timeout_s / scale,
-                tenant=arrival.tenant)
-        except TenantShedError:
-            with lock:
-                report.tenant_shed += 1
-            continue
+                timeout=cfg.request_timeout_s / scale)
         except CircuitOpenError:
             with lock:
                 report.breaker_rejected += 1
@@ -162,7 +145,7 @@ def run_load(cfg: LoadConfig, *, shards: int = 1,
         future.add_done_callback(finish(arrival, max(target, now)))
         futures.append(future)
 
-    # Drain: wait out the in-flight tail, then shut the router down (which
+    # Drain: wait out the in-flight tail, then shut the broker down (which
     # fails anything still queued) and count what is *still* pending.
     grace = time.perf_counter() + 2.0 * cfg.request_timeout_s / scale + 2.0
     for future in futures:
@@ -173,7 +156,7 @@ def run_load(cfg: LoadConfig, *, shards: int = 1,
             future.result(timeout=remaining)
         except Exception:
             pass
-    router.shutdown()
+    broker.shutdown()
     deadline = time.perf_counter() + 1.0
     for future in futures:
         if not future.done() and time.perf_counter() < deadline:
@@ -191,8 +174,7 @@ def run_load(cfg: LoadConfig, *, shards: int = 1,
         setattr(report, name.split(".", 1)[1].replace(".", "_"), delta)
     report.wall_s = round(wall, 3)
     report.throughput_rps = round(report.ok / wall, 1) if wall else 0.0
-    total_sheds = report.shed + report.tenant_shed
-    report.shed_rate = round(total_sheds / max(1, report.requests), 4)
+    report.shed_rate = round(report.shed / max(1, report.requests), 4)
     latencies.sort()
     report.p50_ms = round(_percentile(latencies, 0.50), 2)
     report.p95_ms = round(_percentile(latencies, 0.95), 2)

@@ -17,12 +17,12 @@ many requests the session issues and in what kind mix:
 * ``structured``— generate → refine → occasional ``human_fix``.
 
 Arrival times are **heavy-tailed**: users activate by a Pareto-distributed
-inter-arrival process, so the schedule has the bursts that make admission
-control and load shedding earn their keep, not a polite uniform trickle.
+inter-arrival process, so the schedule has the bursts that make load
+shedding and breakers earn their keep, not a polite uniform trickle.
 
 :class:`LoadBackend` stands in for a model server: it "serves" a request
 by sleeping a deterministic Pareto-distributed service time (threads
-sleeping release the GIL, so shard worker slots overlap realistically) and
+sleeping release the GIL, so broker worker slots overlap realistically) and
 optionally injecting seeded hard/transient faults — the flaky model in the
 default mix is what drives measurable breaker trips.
 """
@@ -153,8 +153,9 @@ class LoadBackend:
     ``generate``/``refine``/``apply_human_fix`` all serve the same way:
     sleep a deterministic heavy-tailed service time keyed by the request id,
     inject seeded faults, count the call.  The *service fabric* (lanes,
-    shards, breakers, shedding) is what the harness measures — the payload
-    is irrelevant, so the response is just the request id echoed back.
+    worker slots, breakers, shedding) is what the harness measures — the
+    payload is irrelevant, so the response is just the request id echoed
+    back.
     """
 
     def __init__(self, model: str, cfg: LoadConfig,

@@ -111,10 +111,10 @@ def engine_table(records: Iterable[dict]) -> str:
 def service_table(records: Iterable[dict]) -> str:
     """Serving-layer breakdown from ``service.*`` metrics.
 
-    One row per broker/router counter (sheds, retries, breaker trips,
-    per-shard request counts), plus batch-size histograms and in-flight
-    gauges from the last metrics snapshot.  Returns ``""`` when the run
-    never touched the service layer.
+    One row per broker counter (requests, sheds, retries, breaker trips),
+    plus per-lane batch-size histograms and queue-depth gauges from the
+    last metrics snapshot.  Returns ``""`` when the run never touched the
+    service layer.
     """
     snapshots = [r for r in _coerce_records(records)
                  if r.get("type") == "metrics"]

@@ -14,12 +14,11 @@ from .broker import (BackendError, BrokerConfig, CircuitBreaker,
                      RequestTimeout, ServiceError, TransientBackendError,
                      get_default_broker, reset_default_broker)
 from .client import LLMClient, ServiceClient, resolve_client
-from .router import ShardedRouter, TenantShedError
 
 __all__ = [
     "BackendError", "BrokerConfig", "CircuitBreaker", "CircuitOpenError",
     "FlakyBackend", "LLMClient", "LoadShedError", "ModelBroker",
-    "RequestTimeout", "ServiceClient", "ServiceError", "ShardedRouter",
-    "TenantShedError", "TransientBackendError", "get_default_broker",
-    "reset_default_broker", "resolve_client",
+    "RequestTimeout", "ServiceClient", "ServiceError",
+    "TransientBackendError", "get_default_broker", "reset_default_broker",
+    "resolve_client",
 ]

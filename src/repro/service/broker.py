@@ -346,14 +346,8 @@ class ModelBroker:
 
     def submit(self, backend, kind: str, args: tuple = (),
                kwargs: dict | None = None, key: int = 0,
-               timeout: float | None = None,
-               tenant: str | None = None) -> Future:
-        """Enqueue one backend call; returns a future for its result.
-
-        ``tenant`` is accepted for interface parity with
-        :class:`~repro.service.router.ShardedRouter` (which enforces
-        per-tenant admission); a bare broker does not differentiate tenants.
-        """
+               timeout: float | None = None) -> Future:
+        """Enqueue one backend call; returns a future for its result."""
         if self.stopped:
             raise ServiceError("broker is shut down")
         lane = self._lane(backend.profile.name)
@@ -436,24 +430,13 @@ _default_broker = None
 _broker_lock = threading.Lock()
 
 
-def get_default_broker():
-    """The process-wide broker, created lazily from settings on first use.
-
-    Returns a single :class:`ModelBroker` by default; with
-    ``REPRO_SERVICE_SHARDS`` > 1 it returns a
-    :class:`~repro.service.router.ShardedRouter` fronting that many broker
-    shards (same submit/call surface, byte-identical results).
-    """
+def get_default_broker() -> ModelBroker:
+    """The process-wide broker, created lazily from settings on first use."""
     global _default_broker
     if _default_broker is None or _default_broker.stopped:
         with _broker_lock:
             if _default_broker is None or _default_broker.stopped:
-                shards = get_settings().service_shards
-                if shards > 1:
-                    from .router import ShardedRouter
-                    _default_broker = ShardedRouter(shards=shards)
-                else:
-                    _default_broker = ModelBroker()
+                _default_broker = ModelBroker()
     return _default_broker
 
 

@@ -75,13 +75,10 @@ class ServiceClient:
     """
 
     def __init__(self, backend, broker: ModelBroker | None = None,
-                 timeout: float | None = None, tenant: str | None = None):
+                 timeout: float | None = None):
         self.backend = backend
         self.broker = broker if broker is not None else get_default_broker()
         self.timeout = timeout
-        # Admission identity for ShardedRouter fairness; a plain broker
-        # accepts and ignores it.
-        self.tenant = tenant
 
     # -- passthrough identity -------------------------------------------------
 
@@ -99,7 +96,7 @@ class ServiceClient:
 
     def derive(self, seed: int) -> "ServiceClient":
         return ServiceClient(self.backend.derive(seed), self.broker,
-                             self.timeout, self.tenant)
+                             self.timeout)
 
     def chat(self, system: str = "") -> ChatSession:
         # The session calls back into *this* client, so conversational
@@ -126,8 +123,7 @@ class ServiceClient:
                         sample_index)
         return self.broker.submit(self.backend, "generate",
                                   (task, prompt, temperature, sample_index),
-                                  key=key, timeout=self.timeout,
-                                  tenant=self.tenant)
+                                  key=key, timeout=self.timeout)
 
     def submit_refine(self, task: GenerationTask, previous: Generation,
                       feedback: str, temperature: float = 0.7,
@@ -137,13 +133,13 @@ class ServiceClient:
         return self.broker.submit(
             self.backend, "refine",
             (task, previous, feedback, temperature, sample_index),
-            key=key, timeout=self.timeout, tenant=self.tenant)
+            key=key, timeout=self.timeout)
 
     def submit_human_fix(self, task: GenerationTask, previous: Generation):
         key = self._key("human_fix", task.task_id, previous.style_seed)
         return self.broker.submit(self.backend, "apply_human_fix",
                                   (task, previous), key=key,
-                                  timeout=self.timeout, tenant=self.tenant)
+                                  timeout=self.timeout)
 
     def _wait(self, future) -> Generation:
         # The lane enforces the queue deadline; the margin here only guards

@@ -195,3 +195,33 @@ class TestAgentReopen:
         first_pass, _, _ = self._run(monkeypatch, 1, enable_feedback=False)
         assert once.total_tokens == first_pass.total_tokens + reopen_spend
         assert once.run_record.total_tokens == once.total_tokens
+
+    def test_verification_failure_reopens_and_succeeds(self, monkeypatch):
+        # A failed verification also reopens RTL generation.  Once every
+        # step's last attempt passes, the run succeeds, even though the
+        # failed verification is still in the recent history.
+        from repro.core import agent as agent_mod
+        from repro.core import steps as fig6
+
+        failed = []
+
+        def fail_once(ctx, args):
+            if not failed:
+                failed.append(True)
+                ctx.state.verified = False
+                return fig6._done(ctx, "verification", False,
+                                  "forced failure")
+            return fig6.verification(ctx, args)
+
+        plan = tuple((name, fail_once if name == "verification" else fn)
+                     for name, fn in agent_mod.ScriptedPolicy.PLAN)
+        monkeypatch.setattr(agent_mod.ScriptedPolicy, "PLAN", plan)
+        report = EdaAgent(AgentConfig(model="gpt-4o"),
+                          seed=1).run(get_problem("c2_gray"))
+        history = [(r.stage, r.success) for r in report.state.history]
+        assert history == (self.PASS[:3] + [("verification", False)]
+                           + self.PASS[1:])
+        assert report.reopens == 1
+        assert report.run_record.stop_reason == "complete"
+        assert report.state.verified
+        assert report.success

@@ -143,11 +143,15 @@ class TestLoadgenCli:
         assert excinfo.value.code == 2
         assert "--users" in capsys.readouterr().err
 
-    def test_zero_shards_rejected(self, capsys):
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--workers", "-1"),
+        ("--queue", "0"), ("--queue", "-1"),
+    ])
+    def test_nonpositive_capacity_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            loadgen_main(["--users", "5", "--shards", "0"])
+            loadgen_main(["--users", "5", flag, value])
         assert excinfo.value.code == 2
-        assert "--shards" in capsys.readouterr().err
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
 
 
 class TestObsReportCli:

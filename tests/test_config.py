@@ -106,15 +106,12 @@ class TestServiceKnobs:
     def test_breaker_and_timeout_defaults(self, monkeypatch, settings):
         for var in ("REPRO_SERVICE_BREAKER_THRESHOLD",
                     "REPRO_SERVICE_BREAKER_RESET_S",
-                    "REPRO_SERVICE_TIMEOUT_S", "REPRO_SERVICE_SHARDS",
-                    "REPRO_SERVICE_WORKERS", "REPRO_SERVICE_TENANT_SHARE"):
+                    "REPRO_SERVICE_TIMEOUT_S", "REPRO_SERVICE_WORKERS"):
             monkeypatch.delenv(var, raising=False)
         assert settings.service_breaker_threshold == 5
         assert settings.service_breaker_reset_s == 0.25
         assert settings.service_timeout_s == 60.0
-        assert settings.service_shards == 1
         assert settings.service_workers is None
-        assert settings.service_tenant_share == 1.0
 
     def test_timeout_zero_disables_deadlines(self, monkeypatch, settings):
         monkeypatch.setenv("REPRO_SERVICE_TIMEOUT_S", "0")
@@ -130,14 +127,6 @@ class TestServiceKnobs:
             warnings.simplefilter("error")
             assert settings.service_breaker_reset_s == 0.25
 
-    def test_shards_and_tenant_share_floors(self, monkeypatch, settings):
-        monkeypatch.setenv("REPRO_SERVICE_SHARDS", "0")
-        monkeypatch.setenv("REPRO_SERVICE_TENANT_SHARE", "7.0")
-        assert settings.service_shards == 1
-        assert settings.service_tenant_share == 1.0
-        monkeypatch.setenv("REPRO_SERVICE_TENANT_SHARE", "0.001")
-        assert settings.service_tenant_share == 0.01
-
 
 class TestSnapshot:
     def test_snapshot_covers_every_knob(self, settings):
@@ -147,7 +136,6 @@ class TestSnapshot:
                     "service", "service_batch_size",
                     "service_queue_capacity", "service_max_retries",
                     "service_breaker_threshold", "service_breaker_reset_s",
-                    "service_timeout_s", "service_shards",
-                    "service_workers", "service_tenant_share",
+                    "service_timeout_s", "service_workers",
                     "full_eval"):
             assert key in snap

@@ -202,11 +202,15 @@ def _run_mode(name: str, mode: str, monkeypatch):
     monkeypatch.setenv("REPRO_SERVICE", "1")
     if mode == "service":
         monkeypatch.setenv("REPRO_GEN_CONCURRENCY", "1")
-    elif mode == "sharded":
-        # Consistent-hash router over 3 shards + concurrent generation:
-        # must be byte-identical to every other path.
-        monkeypatch.setenv("REPRO_SERVICE_SHARDS", "3")
+    elif mode == "bounded":
+        # Two bounded worker slots shared by every lane + concurrent
+        # generation: must be byte-identical to every other path.  The two
+        # removed serving knobs are set too, to prove a stale setting is
+        # inert.
+        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "2")
         monkeypatch.setenv("REPRO_GEN_CONCURRENCY", "8")
+        monkeypatch.setenv("REPRO_SERVICE_SHARDS", "3")
+        monkeypatch.setenv("REPRO_SERVICE_TENANT_SHARE", "0.25")
     else:
         monkeypatch.setenv("REPRO_GEN_CONCURRENCY", "8")
     reset_default_broker()
@@ -233,7 +237,7 @@ def test_golden_direct(name, monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mode", ["service", "concurrent", "sharded"])
+@pytest.mark.parametrize("mode", ["service", "concurrent", "bounded"])
 @pytest.mark.parametrize("name", sorted(set(SCENARIOS) - _MODELLESS))
 def test_golden_brokered(name, mode, monkeypatch):
     """REPRO_SERVICE=1 (and concurrent generation) == the same records."""

@@ -51,7 +51,7 @@ class TestSchedule:
 class TestHarness:
     def test_small_run_accounts_for_every_submission(self):
         cfg = _small()
-        report = run_load(cfg, shards=2,
+        report = run_load(cfg,
                           broker_config=BrokerConfig(
                               queue_capacity=32, max_concurrent=2,
                               request_timeout_s=1.0))
@@ -59,7 +59,7 @@ class TestHarness:
         assert report.requests == len(build_schedule(cfg))
         assert report.accounted() == report.requests
         assert report.ok > 0
-        assert report.shards == 2
+        assert report.workers == 2
         total_per_tenant = sum(report.per_tenant_ok.values())
         assert total_per_tenant == report.ok
 

@@ -1,6 +1,7 @@
 """Broker, client-seam, and chaos tests for ``repro.service``."""
 
 import threading
+import time
 
 import pytest
 
@@ -91,6 +92,13 @@ class TestBrokerMechanics:
         with ModelBroker(BrokerConfig(request_timeout_s=None)) as broker:
             assert broker.call(backend, "work", (21,)) == 42
             assert broker.lane_names() == ["stub-model"]
+
+    def test_submit_after_shutdown_raises(self):
+        from repro.service import ServiceError
+        broker = ModelBroker(BrokerConfig(request_timeout_s=None))
+        broker.shutdown()
+        with pytest.raises(ServiceError, match="shut down"):
+            broker.submit(StubBackend(), "work", (1,))
 
     def test_load_shedding_on_full_queue(self):
         backend = StubBackend()
@@ -369,6 +377,7 @@ class TestClientSeam:
     def test_default_broker_recreated_after_reset(self):
         reset_default_broker()
         first = get_default_broker()
+        assert isinstance(first, ModelBroker)
         assert get_default_broker() is first
         reset_default_broker()
         second = get_default_broker()
@@ -376,9 +385,125 @@ class TestClientSeam:
         assert not second.stopped
         reset_default_broker()
 
+    def test_default_broker_is_one_model_broker(self, monkeypatch):
+        # A leftover REPRO_SERVICE_SHARDS setting must not change the broker.
+        for shards in (None, "4"):
+            if shards is None:
+                monkeypatch.delenv("REPRO_SERVICE_SHARDS", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_SERVICE_SHARDS", shards)
+            reset_default_broker()
+            try:
+                assert type(get_default_broker()) is ModelBroker
+            finally:
+                reset_default_broker()
+
+
+class SlotProbe:
+    """Counts backend calls in flight across every backend sharing it."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.inflight = 0
+        self.peak = 0
+        self.release = threading.Event()
+
+    def reached(self, n, timeout=5.0):
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            with self.lock:
+                if self.inflight >= n:
+                    return True
+            time.sleep(0.005)
+        return False
+
+
+class LaneBackend:
+    """One lane's backend; every call blocks until the probe releases."""
+
+    def __init__(self, name, probe):
+        self.profile = type("Profile", (), {"name": name})()
+        self.probe = probe
+
+    def work(self, value):
+        probe = self.probe
+        with probe.lock:
+            probe.inflight += 1
+            probe.peak = max(probe.peak, probe.inflight)
+        try:
+            assert probe.release.wait(timeout=10.0)
+        finally:
+            with probe.lock:
+                probe.inflight -= 1
+        return value
+
+
+class TestWorkerSlots:
+    """``max_concurrent`` bounds backend calls across all of a broker's
+    lanes; it is the capacity knob ``benchmarks/bench_service.py`` sweeps."""
+
+    @pytest.mark.parametrize("slots,peak", [(1, 1), (2, 2), (3, 3),
+                                            (None, 4)])
+    def test_max_concurrent_bounds_in_flight_calls(self, slots, peak):
+        probe = SlotProbe()
+        backends = [LaneBackend(f"lane-{i}", probe) for i in range(4)]
+        cfg = BrokerConfig(max_concurrent=slots, max_batch=1,
+                           request_timeout_s=None)
+        with ModelBroker(cfg) as broker:
+            futures = [broker.submit(b, "work", (10 * i + n,))
+                       for i, b in enumerate(backends) for n in range(3)]
+            assert probe.reached(peak)
+            time.sleep(0.1)       # room for an over-admitted call to enter
+            assert probe.peak == peak
+            probe.release.set()
+            assert sorted(f.result(timeout=10.0) for f in futures) \
+                == sorted(10 * i + n for i in range(4) for n in range(3))
+        assert probe.peak == peak
+        assert probe.inflight == 0
+
+
+class TestServiceReport:
+    def test_service_table_renders_broker_metrics(self):
+        from repro import obs
+        from repro.obs import report
+        backend = StubBackend()
+        with ModelBroker(BrokerConfig(request_timeout_s=None)) as broker:
+            assert broker.call(backend, "work", (5,)) == 10
+        snap = obs.get_metrics().snapshot()
+        records = [dict(snap, type="metrics")]
+        table = report.service_table(records)
+        assert "service.requests" in table
+        assert "service.batch_size.stub-model" in table    # per-lane row
+        assert table in report.render(records)
+        assert report.service_table([]) == ""
+
 
 class TestServiceDeterminism:
     """REPRO_SERVICE=1 must run byte-identical to the direct path."""
+
+    def test_slot_sweep_matches_direct(self):
+        # Bounded slots only decide *when* a call runs: every slot count
+        # returns the direct path's outputs and charges the same usage.
+        task = make_task("c2_absdiff")
+        models = ("gpt-4", "chatgpt-3.5", "gpt-4o", "cl-verilog-34b")
+        direct = {m: SimulatedLLM(m, seed=11) for m in models}
+        want = {m: [direct[m].generate(task, sample_index=i)
+                    for i in range(3)] for m in models}
+        for slots in (1, 2, None):
+            cfg = BrokerConfig(max_concurrent=slots, request_timeout_s=None)
+            backends = {m: SimulatedLLM(m, seed=11) for m in models}
+            with ModelBroker(cfg) as broker:
+                clients = {m: ServiceClient(backends[m], broker=broker)
+                           for m in models}
+                # Every lane in flight at once, so the slots are contended.
+                futures = {m: [clients[m].submit_generate(task,
+                                                          sample_index=i)
+                               for i in range(3)] for m in models}
+                got = {m: [f.result(timeout=10.0) for f in futures[m]]
+                       for m in models}
+            assert got == want, f"divergence at max_concurrent={slots}"
+            for m in models:
+                assert backends[m].usage == direct[m].usage
 
     @pytest.mark.slow
     def test_flow_suite_identical_with_service_enabled(self, monkeypatch):
