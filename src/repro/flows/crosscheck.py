@@ -92,6 +92,20 @@ _PACKING: dict[str, list[tuple[str, int]]] = {
 }
 
 
+_OPERATOR_CHARS = "+-*/%<>=!&|^~?:"
+
+
+def _flip_operator(source: str) -> str:
+    """A wrong mental model: flip the first standalone ``+``, else ``^``,
+    else ``<`` (one that is not part of ``++``, ``<<``, ``<=``...)."""
+    for a, b in (("+", "-"), ("^", "&"), ("<", ">")):
+        for i, ch in enumerate(source):
+            if ch == a and source[i - 1:i] not in _OPERATOR_CHARS \
+                    and source[i + 1:i + 2] not in _OPERATOR_CHARS:
+                return source[:i] + b + source[i + 1:]
+    return source
+
+
 def supports_crosscheck(problem: Problem) -> bool:
     return problem.problem_id in _C_MODELS and not problem.sequential
 
@@ -122,11 +136,7 @@ def generate_highlevel_model(problem: Problem,
     faithful = True
     if rng.random() < p_err:
         faithful = False
-        # A wrong mental model: flip one operator in the C text.
-        for a, b in (("+", "-"), ("^", "&"), ("<", ">")):
-            if a in source:
-                source = source.replace(a, b, 1)
-                break
+        source = _flip_operator(source)
     self_tokens = len(source.split())
     llm.usage.record(64, self_tokens)
     return HighLevelModel(problem.problem_id, source, faithful)

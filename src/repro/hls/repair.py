@@ -25,7 +25,8 @@ from ..llm.rag import VectorIndex, build_template_index
 from ..obs import get_tracer
 from .cast import CProgram
 from .compat import CompatReport, HlsIssue, check_compatibility
-from .cosim import CosimReport, c_rtl_cosim, cpu_fpga_cosim, _random_args
+from .cosim import (CosimMismatch, CosimReport, c_rtl_cosim, copy_args,
+                    cpu_fpga_cosim, _random_args)
 from .cparser import CParseError, cparse
 from .cprinter import program_str
 from .interp import CRuntimeError, Machine
@@ -297,24 +298,21 @@ class HlsRepairEngine:
         cpu_new = Machine(repaired, mode="cpu")
         for _ in range(24):
             args = _random_args(sized_func, rng)
-            import copy
             try:
-                expected = cpu_old.call(top, *copy.deepcopy(args)).value
+                expected = cpu_old.call(top, *copy_args(args)).value
             except CRuntimeError:
                 report.runtime_errors += 1
                 continue
             try:
-                actual = cpu_new.call(top, *copy.deepcopy(args)).value
+                actual = cpu_new.call(top, *copy_args(args)).value
             except CRuntimeError as exc:
                 report.vectors_run += 1
-                from .cosim import CosimMismatch
                 report.mismatches.append(CosimMismatch(
                     inputs={}, expected=expected, actual=None,
                     note=f"repaired kernel error: {exc.kind}"))
                 continue
             report.vectors_run += 1
             if expected != actual:
-                from .cosim import CosimMismatch
                 report.mismatches.append(CosimMismatch(
                     inputs={p.name: a for p, a in zip(func.params, args)},
                     expected=expected, actual=actual))

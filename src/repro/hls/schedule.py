@@ -20,6 +20,7 @@ from .cast import (CAssign, CBinary, CBlock, CCall, CDecl, CExpr, CExprStmt,
                    CFor, CFunction, CIf, CIndex, CProgram, CReturn, CStmt,
                    CTernary, CUnary, CWhile)
 from .compat import loop_bound
+from .interp import carried_vars
 from .pragmas import pipeline_ii, unroll_factor
 
 # Operation latencies in cycles (loosely Vitis-like defaults).
@@ -236,15 +237,11 @@ class Scheduler:
         return latency + 2
 
     def _has_carried_dependency(self, stmt) -> bool:
-        from .interp import Machine
-        # Reuse the interpreter's read/write analysis on scalars.
-        reads: set[str] = set()
-        writes: set[str] = set()
-        Machine.__new__(Machine)._collect_rw(stmt.body, reads, writes)
+        # The interpreter's read/write analysis, minus the loop counter.
         loop_var: set[str] = set()
         if isinstance(stmt, CFor) and isinstance(stmt.init, CDecl):
             loop_var.add(stmt.init.name)
-        return bool((reads & writes) - loop_var)
+        return bool(carried_vars(stmt.body) - loop_var)
 
 
 def estimate_schedule(program: CProgram, function: str,

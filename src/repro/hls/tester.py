@@ -18,14 +18,13 @@ input (custom bit widths and/or pipeline hazards).
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
 
 from ..llm.model import SimulatedLLM, _stable_seed
 from .cast import CProgram
 from .compat import check_compatibility
-from .cosim import CosimMismatch
+from .cosim import copy_args
 from .cparser import cparse
 from .interp import CRuntimeError, Machine
 from .slicing import SliceResult, backward_slice
@@ -149,7 +148,7 @@ class HlsTester:
 
     def _mutate(self, parent: list, rng: random.Random,
                 llm_guided: bool) -> list:
-        child = copy.deepcopy(parent)
+        child = copy_args(parent)
         boundary = self._boundary_values()
         for i, arg in enumerate(child):
             if isinstance(arg, list):
@@ -217,7 +216,7 @@ class HlsTester:
                   llm_guided: bool) -> bool:
         # Cheap instrumented CPU run for the spectrum.
         try:
-            probe = cpu_probe.call(self.function, *copy.deepcopy(args))
+            probe = cpu_probe.call(self.function, *copy_args(args))
         except CRuntimeError:
             return False
         spectrum = spectrum_of(probe, key_vars)
@@ -228,12 +227,12 @@ class HlsTester:
 
         # Expensive leg: FPGA-mode simulation + comparison.
         report.sims_run += 1
-        cpu_args = copy.deepcopy(args)
+        cpu_args = copy_args(args)
         try:
             cpu_out = cpu.call(self.function, *cpu_args)
         except CRuntimeError:
             return added
-        fpga_args = copy.deepcopy(args)
+        fpga_args = copy_args(args)
         try:
             fpga_out = fpga.call(self.function, *fpga_args)
         except CRuntimeError as exc:

@@ -56,6 +56,24 @@ class TestCrossCheck:
             div = report.divergences[0]
             assert "inputs" in div and "expected" in div
 
+    def test_unfaithful_models_parse_and_debug(self):
+        """The operator flip never lands inside ``++``/``<<``, so every
+        problem's unfaithful model parses and guided debugging returns."""
+        from repro.bench.problems import all_problems
+        from repro.hls import cparse
+        model_name = "codellama-34b-instruct"
+        problems = [p for p in all_problems() if supports_crosscheck(p)]
+        assert len(problems) == 11
+        for problem in problems:
+            seed = next(s for s in range(1000) if not generate_highlevel_model(
+                problem, SimulatedLLM(model_name, seed=s), seed=s).faithful)
+            model = generate_highlevel_model(
+                problem, SimulatedLLM(model_name, seed=seed), seed=seed)
+            assert cparse(model.c_source).function("model")
+            result = guided_debug(problem, SimulatedLLM(model_name, seed=seed),
+                                  seed=seed)
+            assert not result.model_faithful and result.used_crosscheck
+
     def test_guided_debug_runs(self):
         result = guided_debug(get_problem("c2_absdiff"),
                               SimulatedLLM("gpt-4", seed=5), seed=5)

@@ -1,5 +1,8 @@
 """Tests for the mini-C lexer, parser, printer and interpreter."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,6 +214,43 @@ int f() {
             Machine(cparse("int f() { while (1) { } return 0; }"),
                     max_steps=10_000).call("f")
         assert exc.value.kind == "timeout"
+
+    def test_store_to_global_writes_through(self):
+        src = ("int g; void bump() { g = g + 1; } "
+               "int f() { bump(); bump(); return g; }")
+        assert self.run(src, "f").value == 2
+
+    def test_global_initializers_are_honoured(self):
+        src = "int g = 5; char c = 300; int h = g * 2; int f() { return g + h + c; }"
+        assert self.run(src, "f").value == 5 + 10 + 44
+
+    def test_globals_start_fresh_on_every_call(self):
+        prog = cparse("int g = 1; int a[2]; int f(int x) { g += x; a[0] += x; "
+                      "return g * 10 + a[0]; }")
+        machine = Machine(prog)
+        assert [machine.call("f", 3).value for _ in range(2)] == [43, 43]
+
+    def test_local_shadows_global(self):
+        src = ("int g = 1; int f(int g) { g = g + 10; return g; } "
+               "int k() { int r = f(3); return r + g; }")
+        assert self.run(src, "k").value == 14
+
+    def test_compiled_code_holds_no_reference_cycle(self):
+        # Closures take the machine as an argument and never capture it, so
+        # a machine and its compiled code die by reference counting alone.
+        src = ("int fib(int n) { if (n < 2) { return n; } "
+               "return fib(n - 1) + fib(n - 2); }")
+        gc.collect()
+        gc.disable()
+        try:
+            machine = Machine(cparse(src), trace=True)
+            assert machine.call("fib", 8).value == 21
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_printf_output(self):
         prog = cparse('int f() { printf("v=%d\\n", 42); return 0; }')
