@@ -1,12 +1,14 @@
 """Content-addressed compile front-end: ``parse -> elaborate`` with caching.
 
 Every flow in the repo bottoms out in "compile this candidate against that
-testbench and simulate" — and profiling shows the front-end (lexing and
-parsing, ~3ms of an ~11ms :func:`repro.hdl.run_testbench` call) is repeated
+testbench and simulate" — and the front-end (lexing and parsing) is repeated
 for the *same* sources thousands of times per suite: the testbench is fixed
 per problem, and a seeded :class:`~repro.llm.model.SimulatedLLM` at low
-temperature emits duplicate candidates.  This module splits compilation into
-explicit, separately-cacheable stages:
+temperature emits duplicate candidates.  Over two ``rtl_gen`` rounds of the
+end-to-end benchmark (seed 5, 2-vCPU host), an average source took 0.42 ms
+to lex and 0.21 ms to parse, against 2.0 ms per
+:func:`repro.hdl.run_testbench` call, cache hits included.  This module
+splits compilation into explicit, separately-cacheable stages:
 
 * :meth:`CompileCache.parse` — source text -> :class:`~repro.hdl.ast.SourceFile`,
   keyed by content hash,

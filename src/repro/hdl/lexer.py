@@ -1,7 +1,18 @@
-"""Tokenizer for the mini-Verilog subset."""
+"""Tokenizer for the mini-Verilog subset.
+
+One compiled master pattern does the scanning.  Each match consumes the
+trivia in front of a token (whitespace, ``//`` lines, `` ` `` directive
+lines, closed ``/* */`` blocks) and then one named alternative, and
+:func:`tokenize` dispatches on the alternative's name.  Lines and columns
+come from a bisection over the source's newline offsets, found once per
+source, so Python code runs once per token rather than once per character
+(escapes inside string literals aside).
+"""
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -45,11 +56,30 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-_MULTI_OPS = [
-    "<<<", ">>>", "===", "!==",
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "**",
-]
-_SINGLE_OPS = "+-*/%&|^~!<>=?:(),;.[]{}#@"
+# Trivia, then one token.  `\w` is `str.isalnum()` plus `_` and `\d` is
+# `str.isdecimal()`.  `[^\W\d]` also admits non-letters such as `²` and
+# `½`, so `tokenize` checks that an identifier starts with a letter or `_`.
+# BASED takes every `'` after a size, so that `_based` reports a zero width
+# or a bad base there; a `'` with neither size nor base falls to OTHER.
+_SCAN = re.compile(r"""
+    (?:[ \t\r\n]+ | //[^\n]* | `[^\n]* | /\*.*?\*/)*
+    (?:
+        (?P<IDENT>[^\W\d][\w$]*)
+      | (?P<OPEN_COMMENT>/\*)
+      | (?P<OP><<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||\*\*
+            |[-+*/%&|^~!<>=?:(),;.\[\]{}\#@])
+      | (?P<BASED>\d[\d_]*'[sS]?(?:[bBoOdDhH][\w?]*)?|'[bBoOdDhH][\w?]*)
+      | (?P<NUMBER>\d[\d_]*)
+      | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")
+      | (?P<SYSTASK>\$\w*)
+      | (?P<EOF>\Z)
+      | (?P<OTHER>.)
+    )
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_BASES = {"b": 2, "B": 2, "o": 8, "O": 8, "d": 10, "D": 10, "h": 16, "H": 16}
+_WORD_KINDS = dict.fromkeys(KEYWORDS, TokKind.KEYWORD)
 
 
 def _parse_based_digits(digits: str, base: int, width: int, loc: SourceLocation) -> tuple[int, int]:
@@ -63,6 +93,11 @@ def _parse_based_digits(digits: str, base: int, width: int, loc: SourceLocation)
             if len(digits) != 1:
                 raise LexError(f"bad decimal literal digits '{digits}'", loc)
             return 0, (1 << width) - 1
+        if not digits:
+            raise LexError("missing digits in sized literal", loc)
+        for ch in digits:
+            if not ch.isdecimal():
+                raise LexError(f"invalid digit '{ch}' for base 10", loc)
         return int(digits, 10), 0
     for ch in digits:
         value <<= bits_per
@@ -78,158 +113,70 @@ def _parse_based_digits(digits: str, base: int, width: int, loc: SourceLocation)
     return value, xmask
 
 
-class Lexer:
-    """Converts mini-Verilog source text into a token stream."""
-
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.line, self.col)
-
-    def _peek(self, ahead: int = 0) -> str:
-        # Returns NUL at EOF: it fails every membership test ("" would
-        # pathologically satisfy `x in "abc"` and loop the scanners forever).
-        i = self.pos + ahead
-        return self.src[i] if i < len(self.src) else "\x00"
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.src):
-                if self.src[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.src) and not (self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.src):
-                    raise LexError("unterminated block comment", start)
-                self._advance(2)
-            elif ch == "`":
-                # Compiler directives (`timescale etc.) are skipped to end of line.
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind is TokKind.EOF:
-                return out
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        loc = self._loc()
-        if self.pos >= len(self.src):
-            return Token(TokKind.EOF, "", loc)
-        ch = self._peek()
-
-        if ch == '"':
-            return self._string(loc)
-        if ch.isdigit() or (ch == "'" and self._peek(1).lower() in "bdoh"):
-            return self._number(loc)
-        if ch.isalpha() or ch == "_":
-            return self._ident(loc)
-        if ch == "$":
-            return self._systask(loc)
-        for op in _MULTI_OPS:
-            if self.src.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokKind.OP, op, loc)
-        if ch in _SINGLE_OPS:
-            self._advance()
-            return Token(TokKind.OP, ch, loc)
-        raise LexError(f"unexpected character '{ch}'", loc)
-
-    def _string(self, loc: SourceLocation) -> Token:
-        self._advance()
-        chars: list[str] = []
-        while self.pos < len(self.src) and self._peek() != '"':
-            ch = self._peek()
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        if self.pos >= len(self.src):
-            raise LexError("unterminated string literal", loc)
-        self._advance()
-        return Token(TokKind.STRING, "".join(chars), loc, value="".join(chars))
-
-    def _number(self, loc: SourceLocation) -> Token:
-        start = self.pos
-        # Optional size prefix.
-        while self._peek().isdigit() or self._peek() == "_":
-            self._advance()
-        if self._peek() == "'":
-            size_text = self.src[start:self.pos].replace("_", "")
-            width = int(size_text) if size_text else 32
-            if width <= 0:
-                raise LexError(f"literal width must be positive, got {width}",
-                               loc)
-            self._advance()
-            base_ch = self._peek().lower()
-            if base_ch == "s":  # signed base like 'sd — treat as unsigned
-                self._advance()
-                base_ch = self._peek().lower()
-            base = {"b": 2, "o": 8, "d": 10, "h": 16}.get(base_ch)
-            if base is None:
-                raise LexError(f"invalid number base '{base_ch}'", loc)
-            self._advance()
-            dstart = self.pos
-            while self._peek().isalnum() or self._peek() in "_xXzZ?":
-                self._advance()
-            digits = self.src[dstart:self.pos]
-            if not digits:
-                raise LexError("missing digits in sized literal", loc)
-            value, xmask = _parse_based_digits(digits, base, width, loc)
-            mask = (1 << width) - 1
-            return Token(TokKind.SIZED_NUMBER, self.src[start:self.pos], loc,
-                         value=(width, value & mask, xmask & mask))
-        text = self.src[start:self.pos].replace("_", "")
-        return Token(TokKind.NUMBER, text, loc, value=int(text))
-
-    def _ident(self, loc: SourceLocation) -> Token:
-        start = self.pos
-        while self._peek().isalnum() or self._peek() in "_$":
-            self._advance()
-        text = self.src[start:self.pos]
-        kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-        return Token(kind, text, loc)
-
-    def _systask(self, loc: SourceLocation) -> Token:
-        start = self.pos
-        self._advance()  # $
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.src[start:self.pos]
-        if text not in SYSTEM_TASKS:
-            raise LexError(f"unknown system task '{text}'", loc)
-        return Token(TokKind.SYSTASK, text, loc)
+def _based(text: str, loc: SourceLocation, after: str) -> Token:
+    """The token for a BASED match; ``after`` is the next character, if any."""
+    size, _, rest = text.partition("'")
+    size = size.replace("_", "")
+    width = int(size) if size else 32
+    if width <= 0:
+        raise LexError(f"literal width must be positive, got {width}", loc)
+    if rest[:1] in ("s", "S"):  # signed base like 'sd — treat as unsigned
+        rest = rest[1:]
+    if not rest:
+        base_ch = after.lower() or "\x00"
+        raise LexError(f"invalid number base '{base_ch}'", loc)
+    if len(rest) == 1:
+        raise LexError("missing digits in sized literal", loc)
+    value, xmask = _parse_based_digits(rest[1:], _BASES[rest[0]], width, loc)
+    mask = (1 << width) - 1
+    return Token(TokKind.SIZED_NUMBER, text, loc,
+                 value=(width, value & mask, xmask & mask))
 
 
 def tokenize(source: str) -> list[Token]:
-    return Lexer(source).tokens()
+    """Convert mini-Verilog source text into tokens, ending with EOF."""
+    # Newline offsets behind a -1 that stands for the start of line 1.
+    newlines = [-1]
+    newlines += [m.start() for m in re.finditer("\n", source)]
+    match = _SCAN.match
+    out: list[Token] = []
+    pos = 0
+    while True:
+        m = match(source, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        line = bisect_right(newlines, start)
+        loc = SourceLocation(line, start - newlines[line - 1])
+        text = source[start:pos]
+        if kind == "IDENT":
+            word = _WORD_KINDS.get(text)
+            if word is None:
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise LexError(f"unexpected character '{text[0]}'", loc)
+                word = TokKind.IDENT
+            out.append(Token(word, text, loc))
+        elif kind == "OP":
+            out.append(Token(TokKind.OP, text, loc))
+        elif kind == "NUMBER":
+            text = text.replace("_", "")
+            out.append(Token(TokKind.NUMBER, text, loc, value=int(text)))
+        elif kind == "BASED":
+            out.append(_based(text, loc, source[pos:pos + 1]))
+        elif kind == "STRING":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text)
+            out.append(Token(TokKind.STRING, text, loc, value=text))
+        elif kind == "SYSTASK":
+            if text not in SYSTEM_TASKS:
+                raise LexError(f"unknown system task '{text}'", loc)
+            out.append(Token(TokKind.SYSTASK, text, loc))
+        elif kind == "EOF":
+            out.append(Token(TokKind.EOF, "", loc))
+            return out
+        elif kind == "OPEN_COMMENT":
+            raise LexError("unterminated block comment", loc)
+        elif text == '"':
+            raise LexError("unterminated string literal", loc)
+        else:
+            raise LexError(f"unexpected character '{text}'", loc)

@@ -42,9 +42,11 @@ class Parser:
 
     # -- token helpers -------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token:
-        i = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[i]
+    # The stream ends with EOF and `_next` never moves past it, so
+    # `self.toks[self.i]` is always the current token.
+
+    def _peek(self) -> Token:
+        return self.toks[self.i]
 
     def _next(self) -> Token:
         tok = self.toks[self.i]
@@ -53,7 +55,7 @@ class Parser:
         return tok
 
     def _at(self, kind: TokKind, text: str | None = None) -> bool:
-        tok = self._peek()
+        tok = self.toks[self.i]
         return tok.kind is kind and (text is None or tok.text == text)
 
     def _accept(self, kind: TokKind, text: str | None = None) -> Token | None:
@@ -62,7 +64,7 @@ class Parser:
         return None
 
     def _expect(self, kind: TokKind, text: str | None = None) -> Token:
-        tok = self._peek()
+        tok = self.toks[self.i]
         if not self._at(kind, text):
             want = text or kind.name.lower()
             raise ParseError(f"expected '{want}' but found '{tok.text or 'EOF'}'", tok.loc)

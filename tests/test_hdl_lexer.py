@@ -113,3 +113,55 @@ class TestOperatorsAndStrings:
     def test_unexpected_character(self):
         with pytest.raises(LexError):
             tokenize("a £ b")
+
+
+class TestLocations:
+    def test_location_after_multiline_block_comment(self):
+        toks = tokenize("a /* one\ntwo\n  three */ b\n\tc")
+        assert [(t.text, t.loc.line, t.loc.column) for t in toks[:-1]] == [
+            ("a", 1, 1), ("b", 3, 12), ("c", 4, 2)]
+
+    def test_location_after_multiline_string(self):
+        toks = tokenize('x = "one\ntwo" y\nz')
+        assert toks[2].kind is TokKind.STRING and toks[2].value == "one\ntwo"
+        assert (toks[2].loc.line, toks[2].loc.column) == (1, 5)
+        assert [(t.text, t.loc.line, t.loc.column) for t in toks[3:-1]] == [
+            ("y", 2, 6), ("z", 3, 1)]
+
+    def test_eof_location_after_trailing_trivia(self):
+        eof = tokenize("a // tail\n  /* c */ \n\t ")[-1]
+        assert eof.kind is TokKind.EOF and eof.text == ""
+        assert (eof.loc.line, eof.loc.column) == (3, 3)
+
+
+class TestMalformedDecimalLiterals:
+    """These used to escape as a bare ``ValueError`` from ``int()``."""
+
+    @pytest.mark.parametrize("src, message, column", [
+        ("x = 8'd1a;", "invalid digit 'a' for base 10", 5),
+        ("x = 8'd?;", "invalid digit '?' for base 10", 5),
+        ("x = 8'd_;", "missing digits in sized literal", 5),
+        ("x = ²;", "unexpected character '²'", 5),
+        ("1²", "unexpected character '²'", 2),
+    ])
+    def test_lex_error_at_literal(self, src, message, column):
+        with pytest.raises(LexError) as info:
+            tokenize(src)
+        assert info.value.message == message
+        assert (info.value.loc.line, info.value.loc.column) == (1, column)
+
+    def test_non_ascii_decimal_digits_still_lex(self):
+        assert tokenize("٣")[0].value == 3
+        assert tokenize("8'd٣")[0].value == (8, 3, 0)
+
+    def test_run_testbench_reports_compile_error(self):
+        from repro.bench.problems import get_problem
+        from repro.hdl import run_testbench
+
+        problem = get_problem("c1_and4")
+        candidate = problem.reference.replace("&x;", "&x & 8'd1a;")
+        assert "8'd1a" in candidate
+        result = run_testbench(candidate, problem.tb_name,
+                               tb_source=problem.testbench)
+        assert not result.compiled and result.score == 0.0
+        assert "invalid digit 'a' for base 10" in result.compile_error
