@@ -41,6 +41,10 @@ class Aig:
     _outputs: list[tuple[str, int]] = field(default_factory=list)
     _strash: dict[tuple[int, int], int] = field(default_factory=dict)
     _next_id: int = 1
+    # ``((next id, output count), order)`` of the last topological_order().
+    # A plain class attribute, not a field, so it stays out of __init__, eq
+    # and repr; __getstate__ keeps it out of pickles.
+    _order_memo = None
 
     # -- construction --------------------------------------------------------
 
@@ -110,21 +114,6 @@ class Aig:
     def is_input(self, node: int) -> bool:
         return node != 0 and node not in self._ands
 
-    def reachable(self) -> set[int]:
-        """Nodes in the transitive fanin of any output."""
-        seen: set[int] = set()
-        stack = [lit_node(l) for _, l in self._outputs]
-        while stack:
-            node = stack.pop()
-            if node in seen or node == 0:
-                continue
-            seen.add(node)
-            pair = self._ands.get(node)
-            if pair:
-                stack.append(lit_node(pair[0]))
-                stack.append(lit_node(pair[1]))
-        return seen
-
     def levels(self) -> dict[int, int]:
         """Logic depth of every reachable node (inputs are level 0)."""
         depth: dict[int, int] = {0: 0}
@@ -145,68 +134,85 @@ class Aig:
         return max(levels.get(lit_node(l), 0) for _, l in self._outputs)
 
     def topological_order(self) -> list[int]:
-        """Reachable nodes, fanins before fanouts."""
+        """Reachable nodes, fanins before fanouts.
+
+        The order is a post-order DFS from each output in turn, visiting
+        fanin 1 before fanin 0.  Passes number the nodes they rebuild in
+        this order, so it is part of what they compute, not just a valid
+        schedule.  It is memoized until the graph grows: callers iterate
+        the returned list and must not mutate it.
+        """
+        key = (self._next_id, len(self._outputs))
+        memo = self._order_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        ands = self._ands
+        done = {0}
         order: list[int] = []
-        state: dict[int, int] = {}
         for _, out in self._outputs:
-            stack = [(lit_node(out), False)]
+            if lit_node(out) in done:
+                continue
+            stack = [lit_node(out)]
             while stack:
-                node, processed = stack.pop()
-                if node == 0 or state.get(node) == 2:
-                    continue
-                if processed:
-                    state[node] = 2
-                    order.append(node)
-                    continue
-                state[node] = 1
-                stack.append((node, True))
-                pair = self._ands.get(node)
-                if pair:
-                    for fan in pair:
-                        if state.get(lit_node(fan)) != 2:
-                            stack.append((lit_node(fan), False))
+                node = stack[-1]
+                pair = ands.get(node)
+                if pair is not None:
+                    fan = pair[1] >> 1
+                    if fan not in done:
+                        stack.append(fan)
+                        continue
+                    fan = pair[0] >> 1
+                    if fan not in done:
+                        stack.append(fan)
+                        continue
+                stack.pop()
+                done.add(node)
+                order.append(node)
+        self._order_memo = (key, order)
         return order
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_order_memo", None)
+        return state
 
     # -- evaluation ---------------------------------------------------------------
 
-    def evaluate(self, assignment: dict[str, bool]) -> dict[str, bool]:
-        """Evaluate outputs for one complete input assignment."""
-        value: dict[int, bool] = {0: False}
-        for name in self._inputs:
-            if name not in assignment:
-                raise KeyError(f"missing input '{name}'")
-            value[self._input_ids[name]] = bool(assignment[name])
+    def node_words(self, assignment: dict[str, int], bits: int = 64) -> dict[int, int]:
+        """Bit-parallel evaluation: each input carries ``bits`` patterns.
 
-        def lit_val(literal: int) -> bool:
-            v = value[lit_node(literal)]
-            return (not v) if lit_compl(literal) else v
-
-        for node in self.topological_order():
-            if node in self._ands:
-                a, b = self._ands[node]
-                value[node] = lit_val(a) and lit_val(b)
-            elif node not in value:
-                value[node] = False  # dangling input not in inputs list
-        return {name: lit_val(out) for name, out in self._outputs}
-
-    def evaluate_words(self, assignment: dict[str, int], bits: int = 64) -> dict[str, int]:
-        """Bit-parallel evaluation: each input carries ``bits`` patterns."""
+        Returns the word of every reachable node (and of the constant and
+        the inputs); raises ``KeyError`` when an input is unassigned.
+        """
         mask = (1 << bits) - 1
         value: dict[int, int] = {0: 0}
         for name in self._inputs:
-            value[self._input_ids[name]] = assignment.get(name, 0) & mask
-
-        def lit_val(literal: int) -> int:
-            v = value[lit_node(literal)]
-            return (~v & mask) if lit_compl(literal) else v
-
+            if name not in assignment:
+                raise KeyError(f"missing input '{name}'")
+            value[self._input_ids[name]] = assignment[name] & mask
+        ands = self._ands
         for node in self.topological_order():
-            if node in self._ands:
-                a, b = self._ands[node]
-                value[node] = lit_val(a) & lit_val(b)
-            elif node not in value:
-                value[node] = 0
-        return {name: lit_val(out) for name, out in self._outputs}
+            pair = ands.get(node)
+            if pair is None:
+                if node not in value:
+                    value[node] = 0  # dangling node not in the inputs list
+                continue
+            a, b = pair
+            va = value[a >> 1]
+            if a & 1:
+                va ^= mask
+            vb = value[b >> 1]
+            if b & 1:
+                vb ^= mask
+            value[node] = va & vb
+        return value
+
+    def evaluate_words(self, assignment: dict[str, int], bits: int = 64) -> dict[str, int]:
+        """Output words for ``bits`` patterns per input (see ``node_words``)."""
+        mask = (1 << bits) - 1
+        value = self.node_words(assignment, bits)
+        return {name: value[out >> 1] ^ (mask if out & 1 else 0)
+                for name, out in self._outputs}
 
     # -- maintenance -----------------------------------------------------------------
 

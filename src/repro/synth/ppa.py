@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .aig import Aig, lit_node
+from .aig import Aig
 from .synthesize import SynthesizedModule
 from .techmap import map_to_cells, map_to_luts
 
@@ -60,27 +60,8 @@ def estimate_activity(aig: Aig, patterns: int = 128, seed: int = 7) -> float:
     shifted = {name: ((v << 1) | (v >> (bits - 1))) & ((1 << bits) - 1)
                for name, v in assignment.items()}
 
-    def node_values(assign: dict[str, int]) -> dict[int, int]:
-        mask = (1 << bits) - 1
-        value: dict[int, int] = {0: 0}
-        for name in aig.inputs:
-            value[aig._input_ids[name]] = assign.get(name, 0) & mask
-        for node in aig.topological_order():
-            if node in aig._ands:
-                a, b = aig.fanins(node)
-                va = value[lit_node(a)]
-                vb = value[lit_node(b)]
-                if a & 1:
-                    va = ~va & mask
-                if b & 1:
-                    vb = ~vb & mask
-                value[node] = va & vb
-            elif node not in value:
-                value[node] = 0
-        return value
-
-    base = node_values(assignment)
-    moved = node_values(shifted)
+    base = aig.node_words(assignment, bits)
+    moved = aig.node_words(shifted, bits)
     toggles = 0
     count = 0
     for node in aig._ands:

@@ -87,7 +87,7 @@ def map_to_cells(aig: Aig) -> CellMapping:
     """Count AND2 cells plus inverters implied by complemented edges."""
     inverters = 0
     seen_inverted: set[int] = set()
-    reachable = aig.reachable()
+    reachable = aig.topological_order()
     for node in reachable:
         if aig.is_input(node):
             continue

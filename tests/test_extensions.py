@@ -118,10 +118,9 @@ class TestSecurity:
         # Directed tests miss rare triggers most of the time.
         assert caught < total
 
-    @pytest.mark.slow
     def test_cec_always_catches(self):
-        for seed in range(3):
-            for pid in ("c2_adder8", "c3_alu"):
+        for seed in range(6):
+            for pid in ("c2_adder8", "c2_absdiff", "c3_alu"):
                 problem = get_problem(pid)
                 design = insert_trojan(problem, seed=seed)
                 if design is None:
@@ -138,7 +137,6 @@ class TestSecurity:
         many = detect_with_random_cosim(problem, design, vectors=512, seed=0)
         assert many.detected or not few.detected
 
-    @pytest.mark.slow
     def test_detection_hierarchy(self):
         problems = [get_problem(p) for p in ("c2_adder8", "c2_absdiff",
                                              "c3_alu")]

@@ -1,13 +1,23 @@
 """Tests for the logic-synthesis package."""
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hdl import parse_module
-from repro.synth import (Aig, FALSE, TRUE, SynthesisError, check_aigs,
-                         check_against_simulation, estimate_ppa, map_to_cells,
-                         map_to_luts, negate, optimize, synthesize_module)
+from repro.synth import (Aig, CecResult, FALSE, TRUE, SynthesisError,
+                         check_aigs, check_against_simulation, estimate_ppa,
+                         lit_node, map_to_cells, map_to_luts, negate,
+                         optimize, synthesize_module)
 from repro.synth.optimize import balance, rewrite, sweep
+
+
+def _eval(aig, **values):
+    """One pattern through the word evaluator, as ``{output: bool}``."""
+    words = aig.evaluate_words({n: int(v) for n, v in values.items()}, bits=1)
+    return {name: bool(word) for name, word in words.items()}
 
 
 class TestAig:
@@ -31,8 +41,8 @@ class TestAig:
         a = aig.add_input("a")
         b = aig.add_input("b")
         aig.add_output("y", aig.or_(a, b))
-        assert aig.evaluate({"a": True, "b": False})["y"] is True
-        assert aig.evaluate({"a": False, "b": False})["y"] is False
+        assert _eval(aig, a=True, b=False)["y"] is True
+        assert _eval(aig, a=False, b=False)["y"] is False
 
     def test_xor_truth_table(self):
         aig = Aig()
@@ -41,7 +51,7 @@ class TestAig:
         aig.add_output("y", aig.xor_(a, b))
         for va in (False, True):
             for vb in (False, True):
-                assert aig.evaluate({"a": va, "b": vb})["y"] == (va != vb)
+                assert _eval(aig, a=va, b=vb)["y"] == (va != vb)
 
     def test_mux(self):
         aig = Aig()
@@ -49,8 +59,8 @@ class TestAig:
         a = aig.add_input("a")
         b = aig.add_input("b")
         aig.add_output("y", aig.mux(s, a, b))
-        assert aig.evaluate({"s": True, "a": True, "b": False})["y"]
-        assert not aig.evaluate({"s": False, "a": True, "b": False})["y"]
+        assert _eval(aig, s=True, a=True, b=False)["y"]
+        assert not _eval(aig, s=False, a=True, b=False)["y"]
 
     def test_depth_and_cleanup(self):
         aig = Aig()
@@ -75,8 +85,74 @@ class TestAig:
         aig = Aig()
         aig.add_input("a")
         aig.add_output("y", 2)
-        with pytest.raises(KeyError):
-            aig.evaluate({})
+        with pytest.raises(KeyError, match="missing input 'a'"):
+            aig.evaluate_words({})
+
+
+def _random_aig(rng: random.Random) -> Aig:
+    """Random AIG with shared fanins, dangling nodes and constant outputs."""
+    aig = Aig()
+    lits = [aig.add_input(f"i{j}") for j in range(rng.randint(0, 6))]
+    lits.append(rng.choice([FALSE, TRUE]))
+    for _ in range(rng.randint(0, 40)):
+        a, b = rng.choice(lits), rng.choice(lits)
+        lits.append(aig.and_(a ^ rng.getrandbits(1), b ^ rng.getrandbits(1)))
+    for k in range(rng.randint(0, 4)):
+        aig.add_output(f"o{k}", rng.choice(lits) ^ rng.getrandbits(1))
+    return aig
+
+
+def _reference_order(aig: Aig) -> list[int]:
+    """Recursive post-order DFS: outputs in turn, fanin 1 before fanin 0."""
+    order: list[int] = []
+    done = {0}
+
+    def visit(node: int) -> None:
+        if node in done:
+            return
+        if not aig.is_input(node):
+            a, b = aig.fanins(node)
+            visit(lit_node(b))
+            visit(lit_node(a))
+        done.add(node)
+        order.append(node)
+
+    for _, out in aig.outputs:
+        visit(lit_node(out))
+    return order
+
+
+class TestTopologicalOrder:
+    def test_matches_recursive_dfs(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            aig = _random_aig(rng)
+            assert aig.topological_order() == _reference_order(aig)
+
+    def test_memo_not_pickled(self):
+        aig = _random_aig(random.Random(3))
+        before = pickle.dumps(aig)
+        aig.topological_order()
+        aig.depth()
+        assert pickle.dumps(aig) == before
+        assert pickle.loads(before) == aig
+        assert "memo" not in repr(aig)
+
+    def test_growth_invalidates_memo(self):
+        aig = Aig()
+        a, b, c = (aig.add_input(n) for n in "abc")
+        ab = aig.and_(a, b)
+        aig.add_output("y", ab)
+        assert aig.topological_order() == [2, 1, 4]
+        abc = aig.and_(ab, c)
+        aig.add_output("z", abc)
+        assert aig.topological_order() == [2, 1, 4, 3, 5]
+        aig.add_output("w", negate(c))
+        assert aig.topological_order() == [2, 1, 4, 3, 5]
+        aig.and_(a, negate(c))          # dangling: not reachable
+        assert aig.topological_order() == [2, 1, 4, 3, 5]
+        aig.add_output("v", aig.and_(a, negate(c)))
+        assert aig.topological_order() == [2, 1, 4, 3, 5, 6]
 
 
 def _synth(src, name=None):
@@ -307,6 +383,47 @@ class TestCec:
         b.add_output("q", b.add_input("x"))
         assert not check_aigs(a, b).equivalent
 
+    def test_zero_random_vectors(self):
+        a, b = Aig(), Aig()
+        a.add_output("y", a.add_input("x"))
+        b.add_output("y", negate(b.add_input("x")))
+        assert check_aigs(a, b, max_exhaustive_inputs=0, random_vectors=0) \
+            == CecResult(True, None, [], 0)
+
+    def test_inputs_in_one_aig_only(self):
+        a, b = Aig(), Aig()
+        a.add_output("y", a.and_(a.add_input("p"), a.add_input("q")))
+        b.add_output("y", b.and_(b.add_input("p"), b.add_input("r")))
+        assert check_aigs(a, b) == CecResult(
+            False, {"p": 1, "q": 0, "r": 1}, ["y"], 6, exhaustive=True)
+
+    def test_zero_input_aigs(self):
+        a, b = Aig(), Aig()
+        a.add_output("y", TRUE)
+        b.add_output("y", FALSE)
+        assert check_aigs(a, a) == CecResult(True, None, [], 1, exhaustive=True)
+        assert check_aigs(a, b) == CecResult(False, {}, ["y"], 1,
+                                             exhaustive=True)
+
+    @pytest.mark.parametrize("vector", [0, 4095, 4096, 8191])
+    def test_mismatch_at_chunk_edges(self, vector):
+        n = 13
+        a, b = Aig(), Aig()
+        term = TRUE
+        for j in range(n):
+            bit = vector >> (n - 1 - j) & 1
+            x = a.add_input(f"x{j:02d}")
+            b.add_input(f"x{j:02d}")
+            term = a.and_(term, x if bit else negate(x))
+        a.add_output("y", term)
+        b.add_output("y", FALSE)
+        cec = check_aigs(a, b, max_exhaustive_inputs=n)
+        assert cec.vectors_checked == vector + 1 and cec.exhaustive
+        assert [cec.counterexample[f"x{j:02d}"] for j in range(n)] \
+            == [vector >> (n - 1 - j) & 1 for j in range(n)]
+        assert check_aigs(a, a, max_exhaustive_inputs=n).vectors_checked \
+            == 1 << n
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=255),
@@ -321,6 +438,6 @@ endmodule"""
     for i in range(8):
         assign[f"a[{i}]"] = bool((a >> i) & 1)
         assign[f"b[{i}]"] = bool((b >> i) & 1)
-    out = s.aig.evaluate({n: assign.get(n, False) for n in s.aig.inputs})
+    out = _eval(s.aig, **{n: assign.get(n, False) for n in s.aig.inputs})
     value = sum(1 << i for i in range(9) if out.get(f"y[{i}]", False))
     assert value == a + b
