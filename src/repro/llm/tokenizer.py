@@ -51,32 +51,58 @@ def jaccard_similarity(a: str, b: str, n: int = 3) -> float:
 
 
 def token_levenshtein(a: str, b: str, limit: int | None = None) -> int:
-    """Levenshtein distance over tokens (banded when ``limit`` is given).
+    """Levenshtein distance between the token sequences of ``a`` and ``b``.
 
     The SLT loop (Section V) uses Levenshtein distance between candidate
     snippets to force pool diversity; token-level distance is what makes two
     renamings of the same loop 'close'.
+
+    Without ``limit`` the result is the exact distance.  With ``limit`` it
+    is ``limit + 1`` when the token counts differ by more than ``limit``, or
+    when every prefix of ``b`` is more than ``limit`` edits from ``a``
+    (``min_j D(a, b[:j]) > limit``); otherwise it is the exact distance,
+    which may itself exceed ``limit``.  The prefix rule makes the limited
+    result depend on argument order.
     """
-    ta = tokenize_text(a)
-    tb = tokenize_text(b)
+    return _token_distance(tokenize_text(a), tokenize_text(b), limit)
+
+
+def _token_distance(ta: list[str], tb: list[str],
+                    limit: int | None) -> int:
+    """Myers' bit-parallel edit distance (J. ACM 1999, in Hyyro's global
+    form), with ``ta`` as the bit vector: bit ``i`` of ``vp``/``vn`` is the
+    +1/-1 step from ``D(i, j)`` to ``D(i + 1, j)`` in the current column
+    ``j``, and ``score`` is ``D(len(ta), j)``.  ``low`` is the last row's
+    minimum, ``min_j D(len(ta), j)``; see DESIGN.md section 17."""
     if limit is not None and abs(len(ta) - len(tb)) > limit:
         return limit + 1
     if not ta:
         return len(tb)
-    if not tb:
-        return len(ta)
-    prev = list(range(len(tb) + 1))
-    for i, tok_a in enumerate(ta, start=1):
-        cur = [i] + [0] * len(tb)
-        row_min = cur[0]
-        for j, tok_b in enumerate(tb, start=1):
-            cost = 0 if tok_a == tok_b else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-            row_min = min(row_min, cur[j])
-        if limit is not None and row_min > limit:
-            return limit + 1
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}
+    for i, tok in enumerate(ta):
+        peq[tok] = peq.get(tok, 0) | (1 << i)
+    full = (1 << len(ta)) - 1
+    top = 1 << (len(ta) - 1)
+    vp, vn = full, 0
+    score = low = len(ta)
+    for tok in tb:
+        eq = peq.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+            if score < low:
+                low = score
+        ph = (ph << 1) | 1
+        vp = ((mh << 1) | ~(xv | ph)) & full
+        vn = ph & xv
+    if limit is not None and low > limit:
+        return limit + 1
+    return score
 
 
 def normalized_levenshtein(a: str, b: str) -> float:
@@ -85,4 +111,4 @@ def normalized_levenshtein(a: str, b: str) -> float:
     longest = max(len(ta), len(tb))
     if longest == 0:
         return 0.0
-    return token_levenshtein(a, b) / longest
+    return _token_distance(ta, tb, None) / longest

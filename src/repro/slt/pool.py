@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from ..llm.tokenizer import token_levenshtein
 from .snippets import SnippetGenome
 
+_EMPTY_POOL_DISTANCE = 1 << 30
+
 
 @dataclass
 class Candidate:
@@ -47,25 +49,24 @@ class CandidatePool:
             return None
         return min(self.entries, key=lambda c: c.power_w)
 
+    def _distances(self, source: str) -> list[int]:
+        return [token_levenshtein(source, c.source,
+                                  limit=self.min_distance * 4)
+                for c in self.entries]
+
     def distance_to_pool(self, source: str) -> int:
         """Smallest token-Levenshtein distance to any pool member."""
-        if not self.entries:
-            return 1 << 30
-        return min(token_levenshtein(source, c.source,
-                                     limit=self.min_distance * 4)
-                   for c in self.entries)
+        return min(self._distances(source), default=_EMPTY_POOL_DISTANCE)
 
     def consider(self, candidate: Candidate) -> bool:
         """Admission rule: keep if the pool has room, or if the candidate
         beats the worst member *and* is diverse enough."""
-        distance = self.distance_to_pool(candidate.source)
+        distances = self._distances(candidate.source)
+        distance = min(distances, default=_EMPTY_POOL_DISTANCE)
         if distance <= self.min_distance:
             # Too similar: only admit if it strictly improves on the closest
             # member (replace-in-place keeps diversity stable).
-            closest = min(self.entries,
-                          key=lambda c: token_levenshtein(
-                              candidate.source, c.source,
-                              limit=self.min_distance * 4))
+            closest = self.entries[distances.index(distance)]
             if candidate.power_w > closest.power_w:
                 self.entries.remove(closest)
                 self.entries.append(candidate)

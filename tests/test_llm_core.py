@@ -1,7 +1,7 @@
 """Tests for the simulated-LLM substrate: tokenizer, faults, model, RAG."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.llm import (AUTOCHIP_EVAL_MODELS, Document, GenerationTask,
                        ModelProfile, Prompt, PromptStrategy, SimulatedLLM,
@@ -21,6 +21,52 @@ endmodule
 """
 
 TASK = GenerationTask("counter", "a 4-bit counter", REF, complexity=2)
+
+
+def _reference_levenshtein(a: str, b: str, limit: int | None = None) -> int:
+    """The row-by-row O(n*m) DP, kept as the oracle for the bit-parallel
+    ``token_levenshtein``: it stops at the first row whose minimum exceeds
+    ``limit``."""
+    ta = tokenize_text(a)
+    tb = tokenize_text(b)
+    if limit is not None and abs(len(ta) - len(tb)) > limit:
+        return limit + 1
+    if not ta:
+        return len(tb)
+    if not tb:
+        return len(ta)
+    prev = list(range(len(tb) + 1))
+    for i, tok_a in enumerate(ta, start=1):
+        cur = [i] + [0] * len(tb)
+        row_min = cur[0]
+        for j, tok_b in enumerate(tb, start=1):
+            cost = 0 if tok_a == tok_b else 1
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+            row_min = min(row_min, cur[j])
+        if limit is not None and row_min > limit:
+            return limit + 1
+        prev = cur
+    return prev[-1]
+
+
+_ORACLE_TOKENS = ("a", "b", "c", "x", "+", ";")
+
+
+@st.composite
+def _token_strings(draw):
+    """Two token strings over a small alphabet (so matches are common);
+    ``b`` often starts with a prefix of ``a``, which makes the exact
+    distance exceed ``limit`` while some prefix of ``b`` stays within it."""
+    alphabet = st.sampled_from(
+        _ORACLE_TOKENS[:draw(st.integers(1, len(_ORACLE_TOKENS)))])
+
+    def words() -> list[str]:
+        n = draw(st.integers(0, 150))
+        return draw(st.lists(alphabet, min_size=n, max_size=n))
+    a, b = words(), words()
+    if draw(st.booleans()):
+        b = (a[:draw(st.integers(0, len(a)))] + b)[:150]
+    return " ".join(a), " ".join(b)
 
 
 class TestTokenizer:
@@ -54,6 +100,14 @@ class TestTokenizer:
         # d(a,b) <= d(a,"") + d("",b) = len(a)+len(b)
         assert token_levenshtein(a, b) \
             <= len(tokenize_text(a)) + len(tokenize_text(b))
+
+    @given(_token_strings(), st.none() | st.integers(0, 40))
+    @example(("a " * 20 + "b " * 5, "a " * 20 + "c " * 37), 32)
+    @settings(max_examples=300, deadline=None)
+    def test_levenshtein_matches_reference_dp(self, pair, limit):
+        a, b = pair
+        assert token_levenshtein(a, b, limit) \
+            == _reference_levenshtein(a, b, limit)
 
     def test_normalized_range(self):
         assert 0.0 <= normalized_levenshtein("a b c", "a x c") <= 1.0
