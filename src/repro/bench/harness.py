@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from ..exec import ParallelEvaluator, evaluate_candidate_task
 from ..hdl import run_testbench
 from ..hdl.testbench import TestbenchResult
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import Generation, GenerationTask, SimulatedLLM
 from ..llm.prompts import Prompt, PromptStrategy
 from ..obs import get_tracer
-from ..service import LLMClient, resolve_client
 from .problems import Problem
 
 
@@ -113,9 +113,8 @@ def evaluate_model(model: str | SimulatedLLM | LLMClient,
     """Sample ``k`` candidates per problem and score them all.
 
     ``model`` may be a profile name, a raw :class:`SimulatedLLM`, or any
-    :class:`~repro.service.LLMClient` (strings resolve through
-    :func:`repro.service.resolve_client`, so ``REPRO_SERVICE=1`` routes
-    generation through the broker with identical statistics).  ``jobs``
+    :class:`~repro.llm.client.LLMClient` (strings resolve through
+    :func:`repro.llm.client.resolve_client`).  ``jobs``
     fans the (independent, CPU-bound) testbench evaluations out over a
     worker pool; unset, it falls back to the ``REPRO_JOBS`` environment
     variable and then to serial.  Generation stays in-process and scoring

@@ -1,7 +1,7 @@
 """Shared command-line conventions for the ``repro`` CLIs.
 
 Every entry point (``python -m repro.fuzz`` / ``repro.flows`` /
-``repro.loadgen`` / ``repro.obs.report``) follows the same contract:
+``repro.obs.report``) follows the same contract:
 
 * bad input exits with status **2** and a one-line message on stderr —
   never a raw traceback;

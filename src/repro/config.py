@@ -12,7 +12,7 @@ parsing with three rules:
   **one-time** ``RuntimeWarning`` naming the bad value and its source (the
   behaviour ``REPRO_JOBS`` pioneered, now uniform across all knobs);
 * boolean knobs share one falsy set (``"", 0, false, no, off`` — case
-  insensitive) so ``REPRO_TRACE=off`` and ``REPRO_SERVICE=off`` mean what
+  insensitive) so ``REPRO_TRACE=off`` and ``REPRO_STORE=off`` mean what
   they say.
 """
 
@@ -27,18 +27,9 @@ ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_FILE = "REPRO_TRACE_FILE"
-ENV_SERVICE = "REPRO_SERVICE"
-ENV_SERVICE_BATCH = "REPRO_SERVICE_BATCH"
-ENV_SERVICE_QUEUE = "REPRO_SERVICE_QUEUE"
-ENV_SERVICE_RETRIES = "REPRO_SERVICE_RETRIES"
-ENV_SERVICE_BREAKER_THRESHOLD = "REPRO_SERVICE_BREAKER_THRESHOLD"
-ENV_SERVICE_BREAKER_RESET_S = "REPRO_SERVICE_BREAKER_RESET_S"
-ENV_SERVICE_TIMEOUT_S = "REPRO_SERVICE_TIMEOUT_S"
-ENV_SERVICE_WORKERS = "REPRO_SERVICE_WORKERS"
 ENV_FULL_EVAL = "REPRO_FULL_EVAL"
 ENV_CRITIC = "REPRO_CRITIC"
 ENV_CRITIC_JUDGE = "REPRO_CRITIC_JUDGE"
-ENV_GEN_CONCURRENCY = "REPRO_GEN_CONCURRENCY"
 ENV_SIM_ENGINE = "REPRO_SIM_ENGINE"
 ENV_STORE = "REPRO_STORE"
 ENV_STORE_DIR = "REPRO_STORE_DIR"
@@ -86,20 +77,6 @@ class Settings:
                 f"{name} environment variable", raw,
                 f"{name} environment variable value {raw!r} is not an "
                 f"integer; falling back to the default ({default})")
-            return default
-
-    @staticmethod
-    def env_float(name: str, default: float) -> float:
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            _warn_once(
-                f"{name} environment variable", raw,
-                f"{name} environment variable value {raw!r} is not a "
-                f"number; falling back to the default ({default})")
             return default
 
     @staticmethod
@@ -201,63 +178,6 @@ class Settings:
         """``REPRO_CRITIC_JUDGE=1`` adds the seeded LLM-judge stage."""
         return self.env_bool(ENV_CRITIC_JUDGE, False)
 
-    # -- model-serving broker ------------------------------------------------
-
-    @property
-    def service_enabled(self) -> bool:
-        """``REPRO_SERVICE=1`` routes every resolved client via the broker."""
-        return self.env_bool(ENV_SERVICE, False)
-
-    @property
-    def service_batch_size(self) -> int:
-        return max(1, self.env_int(ENV_SERVICE_BATCH, 8))
-
-    @property
-    def service_queue_capacity(self) -> int:
-        return max(1, self.env_int(ENV_SERVICE_QUEUE, 256))
-
-    @property
-    def service_max_retries(self) -> int:
-        return max(0, self.env_int(ENV_SERVICE_RETRIES, 3))
-
-    @property
-    def service_breaker_threshold(self) -> int:
-        """Consecutive hard failures that open a lane's circuit breaker."""
-        return max(1, self.env_int(ENV_SERVICE_BREAKER_THRESHOLD, 5))
-
-    @property
-    def service_breaker_reset_s(self) -> float:
-        """Cool-down before an open breaker admits its half-open probe."""
-        return max(0.0, self.env_float(ENV_SERVICE_BREAKER_RESET_S, 0.25))
-
-    @property
-    def service_timeout_s(self) -> float | None:
-        """Default per-request queue deadline; ``0`` or negative disables
-        deadlines entirely (requests wait as long as it takes)."""
-        value = self.env_float(ENV_SERVICE_TIMEOUT_S, 60.0)
-        return None if value <= 0 else value
-
-    @property
-    def service_workers(self) -> int | None:
-        """Bounded backend-call slots shared by every lane of the broker
-        (models one serving process's worker pool); ``0`` (default) means
-        one slot per lane."""
-        value = self.env_int(ENV_SERVICE_WORKERS, 0)
-        return None if value <= 0 else value
-
-    # -- run engine ----------------------------------------------------------
-
-    @property
-    def gen_concurrency(self) -> int:
-        """In-flight candidate generations per :class:`GenerationBatch`.
-
-        Values > 1 let broker-backed clients submit a round's candidates
-        concurrently (so service lanes coalesce micro-batches); ``1``
-        forces the sequential path.  Either way results are byte-identical
-        — generation is keyed by ``(task, temperature, sample_index)``.
-        """
-        return max(1, self.env_int(ENV_GEN_CONCURRENCY, 8))
-
     # -- simulation engine ---------------------------------------------------
 
     @property
@@ -297,15 +217,6 @@ class Settings:
             "result_cache_capacity": self.result_cache_capacity,
             "trace": self.trace_enabled,
             "trace_file": self.trace_file,
-            "service": self.service_enabled,
-            "service_batch_size": self.service_batch_size,
-            "service_queue_capacity": self.service_queue_capacity,
-            "service_max_retries": self.service_max_retries,
-            "service_breaker_threshold": self.service_breaker_threshold,
-            "service_breaker_reset_s": self.service_breaker_reset_s,
-            "service_timeout_s": self.service_timeout_s,
-            "service_workers": self.service_workers,
-            "gen_concurrency": self.gen_concurrency,
             "sim_engine": self.sim_engine,
             "store": self.store_enabled,
             "store_dir": self.store_dir,

@@ -10,16 +10,15 @@ from .agent import (AgentConfig, AgentRunReport, AgentSweep, EdaAgent,
                     ScriptedPolicy, run_agent_sweep)
 from .planner import (GroundedPolicy, PlannerAgent, PlannerRunReport,
                       PlanStep, run_plan_loop)
-from .policy import (PlanAction, PlannerClient, SimulatedPlanner,
-                     parse_action, render_action, resolve_planner)
+from .policy import (PlanAction, SimulatedPlanner, parse_action,
+                     render_action)
 from .report import agent_report_text, format_table, sweep_report_text
 from .state import DesignState, StageRecord
 
 __all__ = [
     "AgentConfig", "AgentRunReport", "AgentSweep", "DesignState",
     "EdaAgent", "GroundedPolicy", "PlanAction", "PlanStep", "PlannerAgent",
-    "PlannerClient", "PlannerRunReport", "ScriptedPolicy",
-    "SimulatedPlanner", "StageRecord", "agent_report_text", "format_table",
-    "parse_action", "render_action", "resolve_planner", "run_agent_sweep",
-    "run_plan_loop", "sweep_report_text",
+    "PlannerRunReport", "ScriptedPolicy", "SimulatedPlanner", "StageRecord",
+    "agent_report_text", "format_table", "parse_action", "render_action",
+    "run_agent_sweep", "run_plan_loop", "sweep_report_text",
 ]

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from ..bench.problems import Problem
 from ..engine import Budget, RunRecord
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..obs import flush_metrics, get_tracer
-from ..service import LLMClient, resolve_client
 from ..tools import ToolContext, ToolOutcome
 from . import steps as fig6
 from .planner import PlanStep, run_plan_loop

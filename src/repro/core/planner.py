@@ -12,9 +12,8 @@ repo; each round a *policy* supplies the next action:
      most recent observation via the RAG tool-doc index, gate on each
      tool's declared state preconditions, and render the shortlist (with
      its citations) into the planning prompt;
-  2. **plan** — the seeded planner head (:mod:`repro.core.policy`, riding
-     the broker seam under ``REPRO_SERVICE=1``) emits one structured
-     next-action;
+  2. **plan** — the seeded planner head (:mod:`repro.core.policy`) emits
+     one structured next-action;
   3. **act** — the tool runs through the registry's validation seam;
   4. **observe** — the outcome text (or the validation error, for
      malformed or premature actions) is folded into the transcript the
@@ -32,8 +31,8 @@ round's model spend to the run record, so token budgets bind.
 Determinism: grounding is TF-IDF over fixed text, the planner head is a
 pure function of (prompt, seed, profile), and every tool honours the
 registry's purity contract — so a whole planner run is a pure function of
-(goal, problem, model, seed), byte-identical across ``REPRO_SERVICE=0/1``
-and scheduler fan-out (DESIGN.md §13).
+(goal, problem, model, seed), byte-identical across scheduler fan-out
+(DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -43,13 +42,13 @@ from typing import TYPE_CHECKING, Callable
 
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..obs import flush_metrics, get_tracer
-from ..service import LLMClient, resolve_client
 from ..tools import (ToolContext, ToolError, ToolOutcome, build_tool_index,
                      get_tool, list_tools)
-from .policy import (PlanAction, parse_action, render_candidate,
-                     resolve_planner)
+from .policy import (PlanAction, SimulatedPlanner, parse_action,
+                     render_candidate)
 from .state import DesignState
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -165,7 +164,7 @@ class GroundedPolicy:
                  goal_check: Callable[[ToolContext], bool] | None = None):
         self.goal = goal
         self.goal_check = goal_check
-        self.head = resolve_planner(ctx.llm.profile, seed=ctx.seed)
+        self.head = SimulatedPlanner(ctx.llm.profile, seed=ctx.seed)
         problem = ctx.problem
         self.tool_index = build_tool_index(
             list_tools(), spec_text=goal + " " + (problem.spec

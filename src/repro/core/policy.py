@@ -1,12 +1,8 @@
 """The planner head: a seeded model that emits structured next-actions.
 
-Follows the :mod:`repro.critic.judge` seam exactly: a pure backend whose
-``plan(prompt)`` output is a function of ``(prompt text, seed, profile)``,
-wrapped in a client that either invokes it in-process or submits it to the
-broker's per-model lanes under ``REPRO_SERVICE=1``.  Because the backend
-reads nothing but its argument and constructor state, lane scheduling
-cannot change any plan — the service path is byte-identical to the direct
-path.
+Follows the :mod:`repro.critic.judge` pattern exactly: a pure model whose
+``plan(prompt)`` output is a function of ``(prompt text, seed, profile)``
+and nothing else, so a plan never depends on call order.
 
 Like every model in this repo the planner is *simulated but honest*:
 stronger profiles follow the retrieval-ranked shortlist embedded in the
@@ -124,7 +120,7 @@ def _parse_candidates(prompt: str) -> list[tuple[str, dict, tuple[str, ...]]]:
 
 
 class SimulatedPlanner:
-    """Deterministic planner backend; rides broker lanes via kind='plan'."""
+    """Deterministic planner head; ``plan`` is a pure function."""
 
     def __init__(self, profile: ModelProfile, seed: int = 0):
         self.profile = profile
@@ -161,31 +157,3 @@ class SimulatedPlanner:
         rationale = (f"rank-{pick + 1} candidate from grounded shortlist"
                      if pick else "top grounded candidate")
         return render_action(tool, args, citations, rationale)
-
-
-class PlannerClient:
-    """Routes plan calls directly or through the broker seam."""
-
-    def __init__(self, profile: ModelProfile, seed: int = 0, broker=None):
-        self.backend = SimulatedPlanner(profile, seed)
-        self.broker = broker
-
-    @property
-    def seed(self) -> int:
-        return self.backend.seed
-
-    def plan(self, prompt: str) -> str:
-        if self.broker is None:
-            return self.backend.plan(prompt)
-        key = _stable_seed(self.backend.seed, "plan", prompt)
-        return self.broker.call(self.backend, "plan", (prompt,), key=key)
-
-
-def resolve_planner(profile: ModelProfile, seed: int = 0) -> PlannerClient:
-    """Planner client honouring ``REPRO_SERVICE`` (broker seam) settings."""
-    from ..config import get_settings
-    broker = None
-    if get_settings().service_enabled:
-        from ..service.broker import get_default_broker
-        broker = get_default_broker()
-    return PlannerClient(profile, seed=seed, broker=broker)

@@ -9,8 +9,7 @@ package is that backstop:
   (:mod:`repro.critic.rules`) built on the in-repo parser/linter, with a
   closed failure taxonomy;
 * **stage two** — an optional seeded LLM judge
-  (:mod:`repro.critic.judge`) that rides the broker seam under
-  ``REPRO_SERVICE=1``.
+  (:mod:`repro.critic.judge`).
 
 Everything is gated behind ``REPRO_CRITIC`` (and ``REPRO_CRITIC_JUDGE``
 for stage two), both **off by default**: with the knobs unset,
@@ -21,17 +20,16 @@ pre-critic code path — the engine golden fixtures replay byte-identical.
 from __future__ import annotations
 
 from ..obs import get_metrics, get_tracer
-from .judge import JudgeClient, SimulatedJudge, resolve_judge
+from .judge import SimulatedJudge
 from .rules import (validate_assertion, validate_expectation,
                     validate_pragmas, validate_rtl)
 from .verdict import (ACCEPT, ALL_TAXONOMIES, CriticFailure, Verdict,
                       verdicts_feedback)
 
 __all__ = [
-    "ACCEPT", "ALL_TAXONOMIES", "Critic", "CriticFailure", "JudgeClient",
-    "SimulatedJudge", "Verdict", "resolve_critic", "resolve_judge",
-    "validate_assertion", "validate_expectation", "validate_pragmas",
-    "validate_rtl", "verdicts_feedback",
+    "ACCEPT", "ALL_TAXONOMIES", "Critic", "CriticFailure", "SimulatedJudge",
+    "Verdict", "resolve_critic", "validate_assertion", "validate_expectation",
+    "validate_pragmas", "validate_rtl", "verdicts_feedback",
 ]
 
 
@@ -44,7 +42,7 @@ class Critic:
     """
 
     def __init__(self, flow: str = "", seed: int = 0,
-                 judge: JudgeClient | None = None):
+                 judge: SimulatedJudge | None = None):
         self.flow = flow
         self.seed = seed
         self.judge = judge
@@ -143,5 +141,5 @@ def resolve_critic(flow: str = "", seed: int = 0) -> Critic | None:
     settings = get_settings()
     if not settings.critic_enabled:
         return None
-    judge = resolve_judge(seed) if settings.critic_judge_enabled else None
+    judge = SimulatedJudge(seed) if settings.critic_judge_enabled else None
     return Critic(flow=flow, seed=seed, judge=judge)

@@ -20,7 +20,7 @@ pragma     HLS pragma outside the synthesizable subset
 
 All rules are pure functions of the candidate text — no simulation, no
 randomness — which is what makes the stage-one verdict replayable and
-byte-identical across direct/service/parallel modes.
+byte-identical across serial and parallel runs.
 """
 
 from __future__ import annotations

@@ -2,11 +2,9 @@
 
 One loop kernel hosts every flow the paper's case studies describe
 (generate → evaluate with EDA tools → select → feed back), one
-:class:`~repro.engine.budget.Budget` bounds what a run may spend, one
+:class:`~repro.engine.budget.Budget` bounds what a run may spend, and one
 :class:`~repro.engine.record.RunRecord` ledger subsumes the per-flow
-counters, and :class:`~repro.engine.generate.GenerationBatch` submits
-candidates concurrently so the service broker's micro-batch lanes finally
-see batches larger than one.
+counters.
 
 Entry points:
 
@@ -14,22 +12,17 @@ Entry points:
   (see :mod:`repro.engine.kernel`);
 * :class:`Budget` / :data:`UNLIMITED` — spending limits checked between
   rounds;
-* :class:`RunRecord` / :class:`RoundLog` — the unified run ledger;
-* :class:`GenerationBatch`, :func:`generate_many`, :func:`refine_many` —
-  concurrent candidate generation with a deterministic sequential
-  fallback.
+* :class:`RunRecord` / :class:`RoundLog` — the unified run ledger.
 """
 
 from __future__ import annotations
 
 from .budget import UNLIMITED, Budget
-from .generate import GenerationBatch, generate_many, refine_many
 from .kernel import (LoopKernel, RefinementEngine, RoundState, Selection,
                      rank_by_score)
 from .record import RoundLog, RunRecord
 
 __all__ = [
-    "Budget", "GenerationBatch", "LoopKernel", "RefinementEngine",
-    "RoundLog", "RoundState", "RunRecord", "Selection", "UNLIMITED",
-    "generate_many", "rank_by_score", "refine_many",
+    "Budget", "LoopKernel", "RefinementEngine", "RoundLog", "RoundState",
+    "RunRecord", "Selection", "UNLIMITED", "rank_by_score",
 ]

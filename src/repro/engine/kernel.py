@@ -12,9 +12,9 @@ skeletons they now run on:
   ledger.  Loops with irregular bodies (the agent loop, the SLT
   iteration, HLS repair rounds) plug a ``step`` closure straight into it.
 * :class:`RefinementEngine` — the candidate-loop specialisation: pluggable
-  ``candidates`` (a :class:`~repro.engine.generate.GenerationBatch`
-  producer), ``evaluate``, ``select``, ``annotate``, ``stop_after`` and
-  ``feedback`` hooks, with automatic per-round :class:`RoundLog` entries.
+  ``candidates``, ``evaluate``, ``select``, ``annotate``, ``stop_after``
+  and ``feedback`` hooks, with automatic per-round :class:`RoundLog`
+  entries.
 
 Both are deliberately *hooks-over-inheritance*: flows keep their state in
 closures, the kernel owns only the loop mechanics, so rebasing a flow
@@ -132,8 +132,8 @@ class RefinementEngine:
 
     Hooks (flows keep their cross-round state in closures):
 
-    * ``candidates(state) -> list`` — this round's candidates (typically a
-      gathered :class:`~repro.engine.generate.GenerationBatch`);
+    * ``candidates(state) -> list`` — this round's candidates, in sample
+      order;
     * ``evaluate(state, candidates) -> list`` — tool outcomes, one per
       candidate, submission order;
     * ``select(state, candidates, outcomes) -> Selection``;

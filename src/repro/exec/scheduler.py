@@ -2,21 +2,13 @@
 
 A sweep is a grid of independent runs — ``problems × seeds`` (or budgets,
 models, mutations).  Each cell alternates between *generation* (model
-calls, latency-bound, ideally coalesced into broker micro-batches) and
-*evaluation* (tool calls, CPU-bound, ideally spread across cores).  A
-serial sweep interleaves the two phases one cell at a time, so neither
-resource is ever saturated.
+calls) and *evaluation* (tool calls, CPU-bound, ideally spread across
+cores).  A serial sweep interleaves the two phases one cell at a time, so
+neither resource is ever saturated.
 
-:class:`SweepScheduler` schedules whole cells concurrently and picks the
-worker flavour by where the model calls run:
-
-* with the service broker enabled (``REPRO_SERVICE=1``) cells run on
-  **threads**: every cell's generations land on the shared in-process
-  broker lanes, so concurrent cells coalesce micro-batches with each
-  other while other cells' tool evaluations overlap the model latency —
-  the generation/evaluation pipeline;
-* with direct clients, cells run under the :class:`ParallelEvaluator`'s
-  ``auto`` policy (process pool for CPU-bound work, thread fallback).
+:class:`SweepScheduler` schedules whole cells concurrently under the
+:class:`ParallelEvaluator`'s ``auto`` policy (process pool for CPU-bound
+work, thread fallback).
 
 Determinism: cells are independent by construction (each builds its own
 client from ``(model, seed)``), results return in submission order, and a
@@ -38,7 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from ..config import get_settings
 from ..obs import get_metrics, get_tracer
 from ..store import MISS, CampaignJournal, content_key, current_journal
 from .parallel import ParallelEvaluator
@@ -49,10 +40,7 @@ class SweepScheduler:
 
     def __init__(self, jobs: int | str | None = None,
                  timeout: float | None = None):
-        self.evaluator = ParallelEvaluator(
-            jobs,
-            mode="thread" if get_settings().service_enabled else "auto",
-            timeout=timeout)
+        self.evaluator = ParallelEvaluator(jobs, timeout=timeout)
 
     @property
     def jobs(self) -> int:

@@ -45,7 +45,7 @@ def guided_debug_task(payload: tuple) -> Any:
     seed) -> GuidedDebugResult`` — one cell of a guided-debugging sweep."""
     problem, model, use_crosscheck, max_iterations, temperature, seed = payload
     from ..flows.crosscheck import guided_debug
-    from ..service import resolve_client
+    from ..llm.client import resolve_client
     llm = resolve_client(model, seed=seed)
     return guided_debug(problem, llm, use_crosscheck=use_crosscheck,
                         max_iterations=max_iterations,
@@ -97,7 +97,7 @@ def structured_flow_task(payload: tuple) -> Any:
     structured-feedback sweep."""
     problem, model, seed = payload
     from ..flows.structured import StructuredFeedbackFlow
-    from ..service import resolve_client
+    from ..llm.client import resolve_client
     flow = StructuredFeedbackFlow(resolve_client(model, seed=seed))
     return flow.run(problem, seed=seed)
 
@@ -106,7 +106,7 @@ def chipchat_task(payload: tuple) -> Any:
     """``(problem, model, seed) -> ChipChatResult`` — one Chip-Chat block."""
     problem, model, seed = payload
     from ..flows.chipchat import ChipChatSession
-    from ..service import resolve_client
+    from ..llm.client import resolve_client
     return ChipChatSession(resolve_client(model, seed=seed)).run(problem)
 
 

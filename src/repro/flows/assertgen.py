@@ -26,8 +26,8 @@ from ..bench.harness import make_task
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
 from ..hdl.testbench import exercise_module
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM, _stable_seed
-from ..service import LLMClient, resolve_client
 from .autobench import _interface
 
 

@@ -28,8 +28,8 @@ from ..engine import Budget, LoopKernel, RoundState, RunRecord
 from ..hdl import parse_module
 from ..hdl.elaborate import eval_const
 from ..hdl.testbench import exercise_module
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM, _stable_seed
-from ..service import LLMClient, resolve_client
 
 
 @dataclass

@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 
 from ..bench.harness import make_task
 from ..bench.problems import Problem
-from ..engine import (Budget, GenerationBatch, RefinementEngine, RoundLog,
-                      RoundState, RunRecord, Selection, rank_by_score)
+from ..engine import (Budget, RefinementEngine, RoundLog, RoundState,
+                      RunRecord, Selection, rank_by_score)
 from ..exec import (ParallelEvaluator, SweepScheduler, autochip_budget_task,
                     evaluate_candidate_task)
 from ..hdl.testbench import TestbenchResult
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import Generation, SimulatedLLM
 from ..llm.prompts import Prompt, PromptStrategy
-from ..service import LLMClient, resolve_client
 
 __all__ = ["AutoChip", "AutoChipConfig", "AutoChipResult", "BudgetComparison",
            "RoundLog", "compare_budgets", "run_autochip"]
@@ -67,10 +67,8 @@ class AutoChip:
     """The tree-search generation loop, hosted on the run engine.
 
     ``jobs`` fans each round's candidate evaluations (independent,
-    CPU-bound testbench runs) over a worker pool; candidate generation
-    goes through a :class:`~repro.engine.GenerationBatch`, so brokered
-    clients put the whole round in flight at once while direct clients
-    sample sequentially — statistics match the serial loop either way.
+    CPU-bound testbench runs) over a worker pool; candidates are sampled
+    in order, each keyed by its own sample index.
     """
 
     def __init__(self, llm: "SimulatedLLM | LLMClient",
@@ -97,16 +95,14 @@ class AutoChip:
         best: dict = {"score": -1.0, "generation": None, "result": None}
 
         def candidates(state: RoundState) -> list[Generation]:
-            batch = GenerationBatch(self.llm)
             base = (state.round_no - 1) * cfg.k
-            for i in range(cfg.k):
-                if state.round_no == 1 or best["generation"] is None:
-                    batch.generate(task, prompt, cfg.temperature,
-                                   sample_index=base + i)
-                else:
-                    batch.refine(task, best["generation"], state.feedback,
-                                 cfg.temperature, sample_index=base + i)
-            return batch.gather()
+            samples = range(base, base + cfg.k)
+            if state.round_no == 1 or best["generation"] is None:
+                return [self.llm.generate(task, prompt, cfg.temperature,
+                                          sample_index=i) for i in samples]
+            return [self.llm.refine(task, best["generation"], state.feedback,
+                                    cfg.temperature, sample_index=i)
+                    for i in samples]
 
         def evaluate(state: RoundState,
                      cands: list[Generation]) -> list[TestbenchResult]:
@@ -204,9 +200,8 @@ def compare_budgets(model: str | SimulatedLLM | LLMClient,
 
     The ``seeds × problems`` grid goes through the
     :class:`~repro.exec.SweepScheduler`, so with ``jobs > 1`` whole cells
-    run concurrently (pipelining generation against evaluation; under
-    ``REPRO_SERVICE=1`` concurrent cells also coalesce broker batches).
-    Cells are independent — a generation depends only on its
+    run concurrently (pipelining generation against evaluation).  Cells
+    are independent — a generation depends only on its
     ``(seed, model, task, sample)`` key and token counts are per-run
     deltas — so scheduled statistics are byte-identical to the serial
     loop.  A pre-built client instance cannot be shipped to workers and

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from ..bench.harness import evaluate_candidate, make_task
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..llm.prompts import PromptStrategy
-from ..service import LLMClient, resolve_client
 
 
 @dataclass

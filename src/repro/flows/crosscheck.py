@@ -27,8 +27,8 @@ from ..engine import Budget, LoopKernel, RoundState, RunRecord
 from ..hdl.testbench import exercise_module
 from ..hls.cparser import cparse
 from ..hls.interp import CRuntimeError, Machine
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import Generation, SimulatedLLM, _stable_seed
-from ..service import LLMClient, resolve_client
 from .autobench import _interface
 
 # Behavioural C models for the combinational benchmark problems.  In the

@@ -9,8 +9,8 @@ model calls — plus a composition step that can itself fail for models with
 weak instruction following.
 
 The hierarchical-vs-direct comparison runs as a one-round
-:class:`repro.engine.RefinementEngine`: both arms are independent samples,
-so a brokered client puts them in flight together.
+:class:`repro.engine.RefinementEngine` whose two candidates are the two
+arms, sampled independently.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 from ..bench.harness import evaluate_candidate, make_task
 from ..bench.problems import Problem
-from ..engine import (Budget, GenerationBatch, RefinementEngine, RoundState,
-                      RunRecord, Selection, rank_by_score)
+from ..engine import (Budget, RefinementEngine, RoundState, RunRecord,
+                      Selection, rank_by_score)
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..llm.prompts import Prompt, PromptStrategy
-from ..service import LLMClient, resolve_client
 
 
 @dataclass
@@ -52,14 +52,11 @@ def run_hierarchical(problem: Problem,
                        model=llm.profile.name)
 
     def candidates(state: RoundState) -> list:
-        batch = GenerationBatch(llm)
-        batch.generate(task, Prompt(spec=problem.spec,
-                                    strategy=PromptStrategy.HIERARCHICAL),
-                       temperature, sample_index=0)
-        batch.generate(task, Prompt(spec=problem.spec,
-                                    strategy=PromptStrategy.DIRECT),
-                       temperature, sample_index=1)
-        return batch.gather()
+        return [llm.generate(task, Prompt(spec=problem.spec,
+                                          strategy=strategy),
+                             temperature, sample_index=i)
+                for i, strategy in enumerate((PromptStrategy.HIERARCHICAL,
+                                              PromptStrategy.DIRECT))]
 
     def evaluate(state: RoundState, cands: list) -> list:
         return [evaluate_candidate(problem, g.text) for g in cands]

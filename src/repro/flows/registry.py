@@ -5,7 +5,7 @@ uniform runner adapter so tooling (the ``python -m repro.flows`` CLI, the
 signature-conformance tests, sweep dashboards) can launch any flow without
 knowing its module.  Entry points follow the unified signature contract:
 ``model`` accepts a profile name, a :class:`~repro.llm.model.SimulatedLLM`,
-or any :class:`~repro.service.LLMClient`; ``seed``/``seeds`` and ``jobs``
+or any :class:`~repro.llm.client.LLMClient`; ``seed``/``seeds`` and ``jobs``
 are keyword-only.
 
 Launches are typed: a :class:`RunRequest` carries everything a runner

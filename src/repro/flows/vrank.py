@@ -8,9 +8,8 @@ Candidates are clustered by their output signature on shared random input
 vectors (no golden model needed), and the representative of the largest
 cluster is selected — the same majority-vote logic as self-consistency
 decoding.  The single generate → simulate → cluster pass runs as a
-one-round :class:`repro.engine.RefinementEngine`, so candidate sampling
-rides the engine's concurrent generation path and sweeps share the common
-:class:`~repro.engine.RunRecord` accounting.
+one-round :class:`repro.engine.RefinementEngine`, so sweeps share the
+common :class:`~repro.engine.RunRecord` accounting.
 """
 
 from __future__ import annotations
@@ -21,12 +20,12 @@ from dataclasses import dataclass, field
 from ..bench.harness import make_task
 from ..bench.problems import Problem
 from ..engine import (Budget, RefinementEngine, RoundState, RunRecord,
-                      Selection, generate_many)
+                      Selection)
 from ..exec import (ParallelEvaluator, SweepScheduler,
                     evaluate_candidate_task, exercise_module_task)
+from ..llm.client import LLMClient, resolve_client
 from ..llm.model import Generation, SimulatedLLM
 from ..llm.prompts import Prompt
-from ..service import LLMClient, resolve_client
 
 
 @dataclass
@@ -107,8 +106,8 @@ def vrank(problem: Problem,
     evaluator = ParallelEvaluator(jobs)
 
     def candidates(state: RoundState) -> list[Generation]:
-        return generate_many(llm, task, prompt, temperature,
-                             sample_indices=range(n_candidates))
+        return llm.generate_many(task, prompt, temperature,
+                                 sample_indices=range(n_candidates))
 
     def evaluate(state: RoundState, gens: list[Generation]) -> list:
         signatures = evaluator.map(

@@ -4,8 +4,8 @@ A seeded grammar generator (:mod:`repro.fuzz.grammar`) emits
 random-but-valid designs plus matching testbenches; six differential
 oracles (:mod:`repro.fuzz.oracles`) cross-check the toolchain against
 itself — simulation vs synthesis, cached vs cold compiles, parallel vs
-serial evaluation, brokered vs direct model clients, and parse/unparse
-round trips.  Divergences are minimized by an AST delta-debugger
+serial evaluation, parse/unparse round trips, compiled vs event-driven
+simulation, and critic trojan detection.  Divergences are minimized by an AST delta-debugger
 (:mod:`repro.fuzz.shrink`) and filed into ``tests/corpus/`` as permanent
 regressions (:mod:`repro.fuzz.runner`).  ``python -m repro.fuzz`` drives a
 campaign; every case replays from ``(campaign seed, index)`` alone.

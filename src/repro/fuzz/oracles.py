@@ -1,4 +1,4 @@
-"""Differential oracles: seven independent ways a fuzz case can disagree.
+"""Differential oracles: six independent ways a fuzz case can disagree.
 
 Each oracle compares two implementations that the repo *claims* are
 equivalent (the PR 1–3 equivalence stories plus the core sim-vs-synth
@@ -8,10 +8,9 @@ with ``ok=False`` is a finding worth shrinking.
 (a) ``synth``     — event-driven simulation vs bit-blasted AIG evaluation
 (b) ``cache``     — cold-compile, warm-cache, and cache-free runs agree
 (c) ``parallel``  — ``ParallelEvaluator.map`` vs a serial comprehension
-(d) ``service``   — broker-mediated client vs direct ``SimulatedLLM``
-(e) ``roundtrip`` — parse → unparse → reparse is a structural fixpoint
-(f) ``compiled``  — compiled straight-line engine vs the event engine
-(g) ``critic``    — trojan-mutated DUTs must be flagged by the critic
+(d) ``roundtrip`` — parse → unparse → reparse is a structural fixpoint
+(e) ``compiled``  — compiled straight-line engine vs the event engine
+(f) ``critic``    — trojan-mutated DUTs must be flagged by the critic
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from ..hdl.compile import CompileCache
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HdlError
 from ..hdl.testbench import TestbenchResult, _simulate
-from ..llm.model import GenerationTask
-from ..service import resolve_client
 from ..synth.cec import check_against_simulation
 from ..synth.flatten import synthesize_source
 from ..synth.synthesize import SynthesisError
@@ -166,36 +163,7 @@ def oracle_parallel(case: FuzzCase) -> OracleReport:
 
 
 # --------------------------------------------------------------------------
-# (d) broker-mediated vs direct model client
-# --------------------------------------------------------------------------
-
-
-def oracle_service(case: FuzzCase) -> OracleReport:
-    task = GenerationTask(task_id=f"fuzz_{case.campaign_seed}_{case.index}",
-                          spec="fuzz-generated design",
-                          reference_source=case.dut_source, complexity=2)
-    seed = case.seed % (2 ** 31)
-    direct = resolve_client("gpt-4", seed=seed, service=False)
-    brokered = resolve_client("gpt-4", seed=seed, service=True)
-    g_direct = direct.generate(task)
-    g_brokered = brokered.generate(task)
-    if g_direct.text != g_brokered.text or \
-            g_direct.faults != g_brokered.faults:
-        return OracleReport("service", ok=False, kind="generate-mismatch",
-                            detail="broker generate() differs from direct "
-                                   f"(faults {g_direct.fault_ids} vs "
-                                   f"{g_brokered.fault_ids})")
-    feedback = "FAIL: output mismatch at t=1"
-    r_direct = direct.refine(task, g_direct, feedback)
-    r_brokered = brokered.refine(task, g_brokered, feedback)
-    if r_direct.text != r_brokered.text:
-        return OracleReport("service", ok=False, kind="refine-mismatch",
-                            detail="broker refine() differs from direct")
-    return OracleReport("service", ok=True)
-
-
-# --------------------------------------------------------------------------
-# (e) parse → unparse → reparse round trip
+# (d) parse → unparse → reparse round trip
 # --------------------------------------------------------------------------
 
 
@@ -218,7 +186,7 @@ def oracle_roundtrip(case: FuzzCase) -> OracleReport:
 
 
 # --------------------------------------------------------------------------
-# (f) compiled engine vs event-driven engine
+# (e) compiled engine vs event-driven engine
 # --------------------------------------------------------------------------
 
 
@@ -337,7 +305,6 @@ ORACLES: dict[str, object] = {
     "synth": oracle_synth,
     "cache": oracle_cache,
     "parallel": oracle_parallel,
-    "service": oracle_service,
     "roundtrip": oracle_roundtrip,
     "compiled": oracle_compiled,
     "critic": oracle_critic,

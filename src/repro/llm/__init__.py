@@ -7,6 +7,7 @@ the experiments measure.
 """
 
 from .chat import ChatSession, Message
+from .client import LLMClient, resolve_client
 from .docqa import (Answer, DocQa, EVAL_QUESTIONS, answer_faithfulness,
                     retrieval_accuracy)
 from .faults import (ALL_FAULTS, FaultSpec, fault_by_id, faults_of_class,
@@ -27,11 +28,11 @@ __all__ = [
     "DocQa", "Document", "EVAL_QUESTIONS", "answer_faithfulness",
     "retrieval_accuracy",
     "FaultSpec", "Generation", "GenerationTask", "INTERFACE_FAULTS",
-    "LOGIC_FAULTS", "Message", "ModelProfile", "Prompt", "PromptEffects",
-    "PromptStrategy", "Retrieval", "SYNTAX_FAULTS", "SimulatedLLM",
-    "UsageStats", "VectorIndex", "build_template_index", "count_tokens",
-    "fault_by_id", "faults_of_class", "get_model", "jaccard_similarity",
-    "list_models", "make_llm", "models_by_family", "ngrams",
-    "normalized_levenshtein", "prompt_effects", "token_levenshtein",
-    "tokenize_text",
+    "LLMClient", "LOGIC_FAULTS", "Message", "ModelProfile", "Prompt",
+    "PromptEffects", "PromptStrategy", "Retrieval", "SYNTAX_FAULTS",
+    "SimulatedLLM", "UsageStats", "VectorIndex", "build_template_index",
+    "count_tokens", "fault_by_id", "faults_of_class", "get_model",
+    "jaccard_similarity", "list_models", "make_llm", "models_by_family",
+    "ngrams", "normalized_levenshtein", "prompt_effects", "resolve_client",
+    "token_levenshtein", "tokenize_text",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..obs import get_metrics
+from .client import resolve_client
 from .model import GenerationTask, _stable_seed
 from .rag import Document, Retrieval, VectorIndex
 
@@ -110,9 +111,9 @@ class DocQa:
     Extractive by default: the best passage *is* the answer.  Pass a
     ``model`` (profile name, ``SimulatedLLM`` or any ``LLMClient``) to
     synthesize the answer through the unified client seam instead — the
-    retrieved passage becomes the generation's reference text, so the
-    call batches on broker lanes under ``REPRO_SERVICE=1`` and its fault
-    ledger tells us whether the paraphrase stayed grounded.  Seeding runs
+    retrieved passage becomes the generation's reference text, and the
+    generation's fault ledger tells us whether the paraphrase stayed
+    grounded.  Seeding runs
     through ``_stable_seed`` (the question and the cited doc key the
     generation), so answers are deterministic per (model, seed, question).
     """
@@ -126,7 +127,6 @@ class DocQa:
             self.index.add(doc)
         self.llm = None
         if model is not None:
-            from ..service import resolve_client
             self.llm = resolve_client(model, seed=seed)
 
     def ask(self, question: str, top_k: int = 3) -> Answer:
@@ -150,8 +150,8 @@ class DocQa:
 
         The stable task id folds the question and the cited doc, so the
         same question always draws the same generation regardless of ask
-        order or service mode.  Questions are open-ended specs: a model
-        that misreads one answers from memory instead of the passage —
+        order.  Questions are open-ended specs: a model that misreads one
+        answers from memory instead of the passage —
         the hallucination failure mode RAG is meant to suppress, and what
         ``grounded`` reports (prose dodges the code-idiom fault patterns,
         so misinterpretation is the binding risk here).

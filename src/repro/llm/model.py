@@ -103,7 +103,7 @@ class SimulatedLLM:
     def derive(self, seed: int) -> "SimulatedLLM":
         """A fresh client with the same profile but a new seed (the reseed
         hook the agent's re-open path and sweep loops use; also part of the
-        :class:`repro.service.LLMClient` protocol)."""
+        :class:`repro.llm.client.LLMClient` protocol)."""
         return SimulatedLLM(self.profile, seed=seed)
 
     def chat(self, system: str = ""):
@@ -198,22 +198,11 @@ class SimulatedLLM:
                       prompt: Prompt | None = None,
                       temperature: float = 0.7, *,
                       sample_indices=(0,)) -> "list[Generation]":
-        """``k`` candidates, one per sample index — the deterministic
-        sequential form of the :class:`repro.service.LLMClient` protocol's
-        batched entry point.  Each candidate is keyed by the same
-        ``(task, temperature, sample_index)`` tuple as a lone
+        """``k`` candidates, one per sample index.  Each candidate is keyed
+        by the same ``(task, temperature, sample_index)`` tuple as a lone
         :meth:`generate` call, so batched and one-at-a-time sampling are
         byte-identical."""
         return [self.generate(task, prompt, temperature, sample_index=i)
-                for i in sample_indices]
-
-    def refine_many(self, task: GenerationTask, previous: Generation,
-                    feedback: str, temperature: float = 0.7, *,
-                    sample_indices=(0,)) -> "list[Generation]":
-        """``k`` refinements of one candidate; sequential counterpart of
-        :meth:`generate_many`."""
-        return [self.refine(task, previous, feedback, temperature,
-                            sample_index=i)
                 for i in sample_indices]
 
     def apply_human_fix(self, task: GenerationTask,

@@ -108,36 +108,6 @@ def engine_table(records: Iterable[dict]) -> str:
     return format_table(["sim backend", "runs", "events", "count"], rows)
 
 
-def service_table(records: Iterable[dict]) -> str:
-    """Serving-layer breakdown from ``service.*`` metrics.
-
-    One row per broker counter (requests, sheds, retries, breaker trips),
-    plus per-lane batch-size histograms and queue-depth gauges from the
-    last metrics snapshot.  Returns ``""`` when the run never touched the
-    service layer.
-    """
-    snapshots = [r for r in _coerce_records(records)
-                 if r.get("type") == "metrics"]
-    if not snapshots:
-        return ""
-    snap = snapshots[-1]
-    rows: list[list[object]] = []
-    for name, value in sorted(snap.get("counters", {}).items()):
-        if name.startswith("service."):
-            rows.append([name, "counter", value])
-    for name, h in sorted(snap.get("histograms", {}).items()):
-        if name.startswith("service."):
-            rows.append([name, "histogram",
-                         f"n={h['count']} mean={h['mean']:.4g} "
-                         f"max={h['max']:.4g}"])
-    for name, value in sorted(snap.get("gauges", {}).items()):
-        if name.startswith("service."):
-            rows.append([name, "gauge", value])
-    if not rows:
-        return ""
-    return format_table(["service metric", "kind", "value"], rows)
-
-
 def critic_table(records: Iterable[dict]) -> str:
     """Critic verdict breakdown from ``critic.*`` metrics.
 
@@ -200,10 +170,6 @@ def render(source) -> str:
     if engines:
         lines.append("")
         lines.append(engines)
-    service = service_table(records)
-    if service:
-        lines.append("")
-        lines.append(service)
     critic = critic_table(records)
     if critic:
         lines.append("")

@@ -23,7 +23,7 @@ from ..tools import ToolContext
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..llm.model import SimulatedLLM
-    from ..service import LLMClient
+    from ..llm.client import LLMClient
 
 
 def _ordered_stages(ctx: ToolContext, *stages: str) -> bool:

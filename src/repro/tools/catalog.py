@@ -161,8 +161,8 @@ register_tool(ToolSpec(
 
 def _critic_review(ctx: ToolContext, args: dict) -> ToolOutcome:
     from ..config import get_settings
-    from ..critic import Critic, resolve_judge
-    judge = resolve_judge(ctx.seed) \
+    from ..critic import Critic, SimulatedJudge
+    judge = SimulatedJudge(ctx.seed) \
         if get_settings().critic_judge_enabled else None
     critic = Critic(flow="planner", seed=ctx.seed, judge=judge)
     verdict = critic.review([ctx.state.rtl_source],

@@ -11,7 +11,7 @@ from "how to launch a whole flow" down to "one invocable capability".
 Purity contract: a tool reads the :class:`ToolContext` (problem, client,
 seed, design state) and its validated arguments, and returns a
 :class:`ToolOutcome`; any model call inside a tool goes through the
-context's resolved :class:`~repro.service.LLMClient`, so a tool's result
+context's resolved :class:`~repro.llm.client.LLMClient`, so a tool's result
 is a pure function of ``(context coordinates, args)`` — planned order can
 change *which* tools run, never what any individual call returns
 (DESIGN.md §13).

@@ -1,7 +1,7 @@
 """Shared fixtures: environment isolation for the whole suite.
 
 Several tests toggle ``REPRO_*`` environment variables (cache, jobs,
-tracing, service mode) directly; without isolation, a test that forgets to
+tracing, store) directly; without isolation, a test that forgets to
 restore a knob silently changes the behaviour — and the cache keys — of
 every test that runs after it.  The autouse fixture below snapshots
 ``os.environ`` before each test, restores it afterwards, and resets the

@@ -14,7 +14,6 @@ import pytest
 
 from repro.flows.__main__ import main as flows_main
 from repro.fuzz.__main__ import main as fuzz_main
-from repro.loadgen.__main__ import main as loadgen_main
 from repro.obs.report import main as report_main
 from repro.store import reset_default_store
 
@@ -127,31 +126,12 @@ class TestSeedConvention:
     @pytest.mark.parametrize("main,argv", [
         (flows_main, ["vrank", "--seed", "x"]),
         (fuzz_main, ["--seed", "x"]),
-        (loadgen_main, ["--seed", "x"]),
     ])
     def test_bad_seed_exits_two(self, main, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         assert "--seed" in capsys.readouterr().err
-
-
-class TestLoadgenCli:
-    def test_zero_users_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            loadgen_main(["--users", "0"])
-        assert excinfo.value.code == 2
-        assert "--users" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--workers", "0"), ("--workers", "-1"),
-        ("--queue", "0"), ("--queue", "-1"),
-    ])
-    def test_nonpositive_capacity_rejected(self, flag, value, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            loadgen_main(["--users", "5", flag, value])
-        assert excinfo.value.code == 2
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
 
 
 class TestObsReportCli:

@@ -3,7 +3,7 @@
 The calibration contract (zero false-accepts on the labeled corpus, zero
 false-rejects on the references) lives in ``test_critic_corpus.py``;
 this file covers the machinery around it — the verdict algebra, the
-judge's determinism across the broker seam, the ``RefinementEngine``
+judge's determinism, the ``RefinementEngine``
 hook semantics, the per-flow wiring under ``REPRO_CRITIC=1``, and the
 satellite fix that threads lint warnings back into regeneration.
 """
@@ -15,10 +15,10 @@ import pytest
 from repro import obs
 from repro.bench.problems import get_problem
 from repro.config import get_settings
-from repro.critic import (ACCEPT, Critic, CriticFailure, JudgeClient,
-                          SimulatedJudge, Verdict, resolve_critic,
-                          validate_assertion, validate_expectation,
-                          validate_rtl, verdicts_feedback)
+from repro.critic import (ACCEPT, Critic, CriticFailure, SimulatedJudge,
+                          Verdict, resolve_critic, validate_assertion,
+                          validate_expectation, validate_rtl,
+                          verdicts_feedback)
 from repro.critic.verdict import TAX_JUDGE, TAX_LINT, TAX_WIDTH
 
 CLEAN_RTL = """
@@ -152,21 +152,6 @@ class TestJudge:
             again = [SimulatedJudge(seed).judge(t) for t in reversed(texts)]
             assert first == list(reversed(again))
 
-    def test_client_direct_matches_broker(self, monkeypatch):
-        from repro.service import reset_default_broker
-        texts = [CLEAN_RTL, CORRUPT_TEXT, "x" * 40]
-        direct = [JudgeClient(seed=3).judge(t) for t in texts]
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        reset_default_broker()
-        try:
-            from repro.critic import resolve_judge
-            client = resolve_judge(3)
-            assert client.broker is not None
-            brokered = [client.judge(t) for t in texts]
-        finally:
-            reset_default_broker()
-        assert direct == brokered
-
 
 class TestConfigAndResolve:
     def test_critic_off_by_default(self):
@@ -186,7 +171,7 @@ class TestConfigAndResolve:
         monkeypatch.setenv("REPRO_CRITIC", "1")
         monkeypatch.setenv("REPRO_CRITIC_JUDGE", "1")
         critic = resolve_critic("vrank", seed=2)
-        assert isinstance(critic.judge, JudgeClient)
+        assert isinstance(critic.judge, SimulatedJudge)
         assert critic.judge.seed == 2
 
     def test_snapshot_records_knobs(self, monkeypatch):
@@ -209,7 +194,7 @@ class TestCriticReview:
 
     def test_judge_only_sees_rule_clean_candidates(self):
         obs.reset_metrics()
-        critic = Critic(flow="test", seed=0, judge=JudgeClient(seed=0))
+        critic = Critic(flow="test", seed=0, judge=SimulatedJudge(seed=0))
         critic.review([CLEAN_RTL, BAD_WIDTH_RTL])
         # One judge call: the rule-rejected candidate never reaches it.
         assert obs.get_metrics().counter("critic.judge_calls").value == 1
@@ -463,7 +448,7 @@ class TestAgentLintThreading:
     def _run_stage(self, monkeypatch, warnings, enable_feedback=True):
         from repro.core.state import DesignState
         from repro.core.steps import rtl_generation
-        from repro.service.client import resolve_client
+        from repro.llm.client import resolve_client
         from repro.tools import ToolContext
         captured = self._capture(monkeypatch)
         problem = get_problem("c1_mux2")
@@ -492,7 +477,7 @@ class TestAgentLintThreading:
 
     def test_feedback_changes_the_generation(self):
         from repro.flows.autochip import AutoChip, AutoChipConfig
-        from repro.service.client import resolve_client
+        from repro.llm.client import resolve_client
         problem = get_problem("c4_seqdet")
         base = AutoChip(resolve_client("chatgpt-3.5", seed=5),
                         AutoChipConfig(k=1, depth=1)).run(problem)

@@ -2,26 +2,17 @@
 
 The golden-record tests (``test_engine_golden.py``) pin the rebased flows
 byte-for-byte; these tests pin the kernel's own contracts — budget
-validation and exhaustion, round accounting, stop-hook ordering, batch
-submission equivalence, and broker micro-batch coalescing (the tentpole's
-reason to exist).
+validation and exhaustion, round accounting, stop-hook ordering and
+selection ranking.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import make_task as _make_task
-from repro.bench.problems import get_problem
-from repro.engine import (Budget, GenerationBatch, LoopKernel,
-                          RefinementEngine, RunRecord, Selection, UNLIMITED,
-                          generate_many, rank_by_score)
-from repro.llm.model import SimulatedLLM
+from repro.engine import (Budget, LoopKernel, RefinementEngine, RunRecord,
+                          Selection, UNLIMITED, rank_by_score)
 from repro.obs import get_metrics
-
-
-def make_task(problem_id: str):
-    return _make_task(get_problem(problem_id))
 
 
 class TestBudget:
@@ -159,87 +150,3 @@ class TestRankByScore:
         sel = rank_by_score(["x", "y", "z"], [0.1, 0.9, 0.5], lambda o: o)
         assert sel.best_index == 1
         assert sel.best_outcome == 0.9
-
-
-class TestGenerationBatch:
-    def test_sequential_fallback_matches_direct_calls(self):
-        task = make_task("c2_gray")
-        direct = SimulatedLLM("gpt-4", seed=7)
-        batched = SimulatedLLM("gpt-4", seed=7)
-        expected = [direct.generate(task, sample_index=i) for i in range(4)]
-        batch = GenerationBatch(batched, concurrency=8)
-        for i in range(4):
-            batch.generate(task, sample_index=i)
-        assert batch.gather() == expected
-        assert batched.usage == direct.usage
-
-    def test_gather_clears_for_reuse(self):
-        task = make_task("c2_gray")
-        batch = GenerationBatch(SimulatedLLM("gpt-4", seed=0), concurrency=1)
-        batch.generate(task, sample_index=0)
-        assert len(batch) == 1
-        first = batch.gather()
-        assert len(batch) == 0
-        batch.generate(task, sample_index=0)
-        assert batch.gather() == first
-
-    def test_generate_many_free_function_matches_direct(self):
-        task = make_task("c2_absdiff")
-        direct = SimulatedLLM("chatgpt-3.5", seed=3)
-        expected = [direct.generate(task, sample_index=i) for i in range(3)]
-        got = generate_many(SimulatedLLM("chatgpt-3.5", seed=3), task,
-                            sample_indices=range(3))
-        assert got == expected
-
-
-class TestBrokerCoalescing:
-    """Satellite 3: concurrent submission must actually fill lane batches."""
-
-    def test_concurrent_generate_many_coalesces_batches(self):
-        from repro.service import ServiceClient
-        from repro.service.broker import BrokerConfig, ModelBroker
-
-        task = make_task("c2_gray")
-        hist = get_metrics().histogram("service.batch_size.gpt-4")
-        before_count, before_total = hist.count, hist.total
-
-        cfg = BrokerConfig(batch_window_s=0.05, request_timeout_s=None)
-        with ModelBroker(cfg) as broker:
-            backend = SimulatedLLM("gpt-4", seed=5)
-            client = ServiceClient(backend, broker=broker)
-            batch = GenerationBatch(client, concurrency=8)
-            for i in range(8):
-                batch.generate(task, sample_index=i)
-            gens = batch.gather()
-
-        direct = SimulatedLLM("gpt-4", seed=5)
-        assert gens == [direct.generate(task, sample_index=i)
-                        for i in range(8)]
-        new_count = hist.count - before_count
-        new_total = hist.total - before_total
-        assert new_count >= 1
-        # Mean batch size over this run's batches: > 1 means at least one
-        # micro-batch coalesced (pre-engine sequential calls always hit 1.0).
-        assert new_total / new_count > 1.0
-
-    def test_sequential_concurrency_one_never_batches(self):
-        from repro.service import ServiceClient
-        from repro.service.broker import BrokerConfig, ModelBroker
-
-        task = make_task("c2_gray")
-        hist = get_metrics().histogram("service.batch_size.gpt-4")
-        before_count, before_max_total = hist.count, hist.total
-
-        cfg = BrokerConfig(batch_window_s=0.05, request_timeout_s=None)
-        with ModelBroker(cfg) as broker:
-            client = ServiceClient(SimulatedLLM("gpt-4", seed=6),
-                                   broker=broker)
-            batch = GenerationBatch(client, concurrency=1)
-            for i in range(4):
-                batch.generate(task, sample_index=i)
-            batch.gather()
-
-        new_count = hist.count - before_count
-        new_total = hist.total - before_max_total
-        assert new_count == 4
-        assert new_total == pytest.approx(4.0)   # every batch had size 1

@@ -5,13 +5,7 @@ pre-engine loops (before the ``repro.engine`` refactor landed) at fixed
 seeds.  Each scenario runs a full flow through its public entry point and
 serializes the *public result dataclass* to plain JSON; the tests then
 assert that the engine-based implementations reproduce those records
-byte-for-byte in every execution mode:
-
-* ``REPRO_SERVICE=0`` — direct in-process client;
-* ``REPRO_SERVICE=1`` — every model call rides the broker's micro-batch
-  lanes;
-* ``REPRO_SERVICE=1`` + ``REPRO_GEN_CONCURRENCY=8`` — candidate
-  generation submitted concurrently so lanes coalesce real batches.
+byte-for-byte.
 
 Regenerate (only when a behaviour change is intended and reviewed)::
 
@@ -185,46 +179,16 @@ SCENARIOS = {
     "compare_budgets": _compare_budgets,
 }
 
-# Scenarios whose loops never touch a model client: the service/concurrency
-# modes would be identical by construction, so they only run directly.
-_MODELLESS = {"security", "slt", "hls_repair"}
-
 
 def _fixture_path(name: str) -> pathlib.Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
-def _run_mode(name: str, mode: str, monkeypatch):
-    from repro.service import reset_default_broker
-    if mode == "direct":
-        monkeypatch.setenv("REPRO_SERVICE", "0")
-        return SCENARIOS[name]()
-    monkeypatch.setenv("REPRO_SERVICE", "1")
-    if mode == "service":
-        monkeypatch.setenv("REPRO_GEN_CONCURRENCY", "1")
-    elif mode == "bounded":
-        # Two bounded worker slots shared by every lane + concurrent
-        # generation: must be byte-identical to every other path.  The two
-        # removed serving knobs are set too, to prove a stale setting is
-        # inert.
-        monkeypatch.setenv("REPRO_SERVICE_WORKERS", "2")
-        monkeypatch.setenv("REPRO_GEN_CONCURRENCY", "8")
-        monkeypatch.setenv("REPRO_SERVICE_SHARDS", "3")
-        monkeypatch.setenv("REPRO_SERVICE_TENANT_SHARE", "0.25")
-    else:
-        monkeypatch.setenv("REPRO_GEN_CONCURRENCY", "8")
-    reset_default_broker()
-    try:
-        return SCENARIOS[name]()
-    finally:
-        reset_default_broker()
-
-
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_golden_direct(name, monkeypatch):
+def test_golden_direct(name):
     """Engine path == pre-refactor serial loop (direct client)."""
     path = _fixture_path(name)
-    got = _run_mode(name, "direct", monkeypatch)
+    got = SCENARIOS[name]()
     if REGEN:
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
@@ -233,20 +197,6 @@ def test_golden_direct(name, monkeypatch):
         f"missing golden fixture {path}; regenerate with "
         f"REPRO_REGEN_GOLDEN=1 (only from a reviewed baseline)")
     want = json.loads(path.read_text())
-    assert got == want
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("mode", ["service", "concurrent", "bounded"])
-@pytest.mark.parametrize("name", sorted(set(SCENARIOS) - _MODELLESS))
-def test_golden_brokered(name, mode, monkeypatch):
-    """REPRO_SERVICE=1 (and concurrent generation) == the same records."""
-    if REGEN:
-        pytest.skip("fixtures regenerate from the direct path only")
-    path = _fixture_path(name)
-    assert path.exists()
-    want = json.loads(path.read_text())
-    got = _run_mode(name, mode, monkeypatch)
     assert got == want
 
 
@@ -264,7 +214,7 @@ def test_golden_critic_off_replay(name, monkeypatch):
     assert path.exists()
     monkeypatch.setenv("REPRO_CRITIC", "0")
     want = json.loads(path.read_text())
-    got = _run_mode(name, "direct", monkeypatch)
+    got = SCENARIOS[name]()
     assert got == want
 
 
@@ -283,7 +233,7 @@ def test_golden_planner_off_replay(name, monkeypatch):
     assert path.exists()
     monkeypatch.setenv("REPRO_AGENT_PLANNER", "1")
     want = json.loads(path.read_text())
-    got = _run_mode(name, "direct", monkeypatch)
+    got = SCENARIOS[name]()
     assert got == want
 
 

@@ -69,7 +69,7 @@ class TestOracles:
     def test_all_oracles_agree_on_fresh_cases(self):
         for i in range(6):
             reports = run_oracles(generate_case(21, i))
-            assert len(reports) == 7
+            assert len(reports) == 6
             for report in reports:
                 assert not report.divergence, \
                     f"case {i} [{report.name}/{report.kind}]: {report.detail}"
@@ -140,7 +140,7 @@ class TestCampaign:
         result = run_campaign(10, 1, corpus_dir=str(tmp_path))
         assert result.ok
         assert result.cases_run == 10
-        assert result.oracle_runs == 70
+        assert result.oracle_runs == 60
         assert list(tmp_path.iterdir()) == []
 
     def test_campaign_summary_shape(self):
@@ -170,7 +170,7 @@ class TestCampaign:
             run_campaign(2, 1, corpus_dir=None)
             metrics = obs.get_metrics()
             assert metrics.counter("fuzz.cases").value == 2
-            assert metrics.counter("fuzz.oracle_runs").value == 14
+            assert metrics.counter("fuzz.oracle_runs").value == 12
             names = [r["name"] for r in sink.records
                      if r.get("type") == "span"]
             assert "fuzz.case" in names

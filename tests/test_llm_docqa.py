@@ -56,15 +56,6 @@ class TestModelSynthesizedAnswers:
         assert first.text == second.text
         assert first.grounded == second.grounded
 
-    def test_service_mode_is_byte_identical(self, monkeypatch):
-        question = "my while loop fails HLS with no trip count"
-        monkeypatch.delenv("REPRO_SERVICE", raising=False)
-        direct = DocQa(model="gpt-4", seed=1).ask(question)
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        brokered = DocQa(model="gpt-4", seed=1).ask(question)
-        assert brokered.text == direct.text
-        assert brokered.grounded == direct.grounded
-
     def test_answer_carries_model_and_citation(self):
         answer = DocQa(model="gpt-4o", seed=0).ask(
             "what does latch inferred mean in a combinational block")

@@ -2,18 +2,17 @@
 
 The conformance half mirrors ``tests/test_flow_registry`` for the tool
 catalogue; the determinism half is the planner's acceptance gate —
-byte-identity across ``REPRO_SERVICE=0/1`` and direct-vs-scheduler
-execution, plus the pipeline-inexpressible PPA tuning loop.
+byte-identity across direct and scheduler execution, plus the
+pipeline-inexpressible PPA tuning loop.
 """
 
 import pytest
 
 from repro.core import (GroundedPolicy, PlannerAgent, parse_action,
-                        render_action, resolve_planner)
+                        render_action)
 from repro.core.state import DesignState
 from repro.engine import Budget
 from repro.exec import SweepScheduler, planner_task_cell
-from repro.llm import get_model
 from repro.tasks import TASKS, get_task, run_task, run_task_suite
 from repro.tools import (ToolArg, ToolContext, ToolCost, ToolError,
                          ToolOutcome, ToolSpec, build_tool_index, get_tool,
@@ -128,31 +127,12 @@ class TestActionGrammar:
 
 
 class TestPlannerDeterminism:
-    def test_service_mode_is_byte_identical(self, monkeypatch):
-        from repro.service import reset_default_broker
-        monkeypatch.setenv("REPRO_SERVICE", "0")
-        direct = run_task("adder_verify", "gpt-4o", seed=0)
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        reset_default_broker()
-        try:
-            brokered = run_task("adder_verify", "gpt-4o", seed=0)
-        finally:
-            reset_default_broker()
-        assert _report_key(brokered) == _report_key(direct)
-
     def test_scheduler_fanout_matches_direct(self):
         cells = [("adder_verify", "gpt-4o", s, None) for s in (0, 1)]
         direct = [run_task("adder_verify", "gpt-4o", seed=s) for s in (0, 1)]
         fanned = SweepScheduler(2).map(planner_task_cell, cells)
         assert [_report_key(r) for r in fanned] \
             == [_report_key(r) for r in direct]
-
-    def test_planner_head_rides_the_broker_seam(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        client = resolve_planner(get_model("gpt-4o"), seed=0)
-        assert client.broker is not None
-        monkeypatch.setenv("REPRO_SERVICE", "0")
-        assert resolve_planner(get_model("gpt-4o"), seed=0).broker is None
 
 
 class TestCriticThreading:

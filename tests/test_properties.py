@@ -163,45 +163,35 @@ def _candidate_text(seed: int) -> str:
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_critic_verdict_is_pure_function_of_candidate_and_seed(seed):
-    from repro.critic import Critic, JudgeClient
+    from repro.critic import Critic, SimulatedJudge
 
     text = _candidate_text(seed)
     first = Critic(flow="prop", seed=seed,
-                   judge=JudgeClient(seed=seed)).review_source(text)
+                   judge=SimulatedJudge(seed)).review_source(text)
     again = Critic(flow="prop", seed=seed,
-                   judge=JudgeClient(seed=seed)).review_source(text)
+                   judge=SimulatedJudge(seed)).review_source(text)
     assert first == again
     # Batch review order cannot change any verdict.
     other = _candidate_text(seed + 1)
-    critic = Critic(flow="prop", seed=seed, judge=JudgeClient(seed=seed))
+    critic = Critic(flow="prop", seed=seed, judge=SimulatedJudge(seed))
     assert critic.review([text, other]) == \
         list(reversed(critic.review([other, text])))
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
-def test_critic_verdicts_match_across_direct_service_parallel(seed):
+def test_critic_verdicts_match_direct_and_parallel(seed):
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.critic import Critic, JudgeClient
-    from repro.service.broker import ModelBroker
+    from repro.critic import Critic, SimulatedJudge
 
     texts = [_candidate_text(seed + k) for k in range(4)]
     direct = Critic(flow="prop", seed=seed,
-                    judge=JudgeClient(seed=seed)).review(texts)
-
-    broker = ModelBroker()
-    try:
-        brokered_critic = Critic(flow="prop", seed=seed,
-                                 judge=JudgeClient(seed=seed,
-                                                   broker=broker))
-        brokered = brokered_critic.review(texts)
-    finally:
-        broker.shutdown()
+                    judge=SimulatedJudge(seed)).review(texts)
 
     parallel_critic = Critic(flow="prop", seed=seed,
-                             judge=JudgeClient(seed=seed))
+                             judge=SimulatedJudge(seed))
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(parallel_critic.review_source, texts))
 
-    assert direct == brokered == parallel
+    assert direct == parallel

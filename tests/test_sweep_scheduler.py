@@ -54,19 +54,3 @@ class TestCompareBudgetsIdentity:
         fanned = compare_budgets("chatgpt-3.5", problems, budget=2,
                                  seeds=(0, 1), jobs=2)
         assert fanned == serial
-
-    @pytest.mark.slow
-    def test_scheduled_matches_serial_under_service(self, monkeypatch):
-        from repro.service import reset_default_broker
-        problems = [get_problem("c2_gray")]
-        monkeypatch.setenv("REPRO_SERVICE", "0")
-        direct = compare_budgets("chatgpt-3.5", problems, budget=2,
-                                 seeds=(0,), jobs=None)
-        monkeypatch.setenv("REPRO_SERVICE", "1")
-        reset_default_broker()
-        try:
-            brokered = compare_budgets("chatgpt-3.5", problems, budget=2,
-                                       seeds=(0,), jobs=2)
-        finally:
-            reset_default_broker()
-        assert brokered == direct
