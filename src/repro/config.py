@@ -1,10 +1,9 @@
 """``repro.config`` — one typed reader for every ``REPRO_*`` environment knob.
 
 Before this module each subsystem parsed its own environment variables
-(``repro.exec`` read ``REPRO_JOBS``, ``repro.hdl.compile`` read the cache
-knobs, ``repro.obs`` read the trace switches), each with slightly different
-falsy conventions and error handling.  :class:`Settings` centralizes the
-parsing with three rules:
+(``repro.exec`` read ``REPRO_JOBS``, ``repro.obs`` read the trace
+switches), each with slightly different falsy conventions and error
+handling.  :class:`Settings` centralizes the parsing with three rules:
 
 * accessors read ``os.environ`` **live**, so tests and operators can flip a
   knob mid-process (matching the pre-existing behaviour of every knob);
@@ -22,9 +21,6 @@ import os
 import warnings
 
 ENV_JOBS = "REPRO_JOBS"
-ENV_HDL_CACHE = "REPRO_HDL_CACHE"
-ENV_COMPILE_CACHE = "REPRO_COMPILE_CACHE"
-ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_FILE = "REPRO_TRACE_FILE"
 ENV_FULL_EVAL = "REPRO_FULL_EVAL"
@@ -66,20 +62,6 @@ class Settings:
         return raw.strip().lower() not in _FALSY
 
     @staticmethod
-    def env_int(name: str, default: int) -> int:
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            _warn_once(
-                f"{name} environment variable", raw,
-                f"{name} environment variable value {raw!r} is not an "
-                f"integer; falling back to the default ({default})")
-            return default
-
-    @staticmethod
     def env_str(name: str, default: str = "") -> str:
         return os.environ.get(name, default).strip()
 
@@ -114,34 +96,6 @@ class Settings:
         if jobs < 0:
             return max(1, os.cpu_count() or 1)
         return max(1, jobs)
-
-    # -- compile cache -------------------------------------------------------
-
-    @property
-    def hdl_cache_enabled(self) -> bool:
-        return self.env_bool(ENV_HDL_CACHE, True)
-
-    @property
-    def compile_cache_capacity(self) -> int:
-        return self.env_int(ENV_COMPILE_CACHE, 256)
-
-    @property
-    def result_cache_capacity(self) -> int:
-        return self.env_int(ENV_RESULT_CACHE, 1024)
-
-    def cache_region_capacity(self, region: str) -> int:
-        """Memory capacity of one named cache region.
-
-        The legacy knobs configure their regions of the unified
-        :class:`repro.store.CacheBackend` surface — ``REPRO_COMPILE_CACHE``
-        sizes ``parse``/``design``/``program``, ``REPRO_RESULT_CACHE``
-        sizes ``result`` — so existing tuning keeps working unchanged.
-        Unnamed regions (campaign journals, future artifact kinds) get the
-        compile-cache default.
-        """
-        if region == "result":
-            return self.result_cache_capacity
-        return self.compile_cache_capacity
 
     # -- artifact store ------------------------------------------------------
 
@@ -212,9 +166,6 @@ class Settings:
         """Debug view of every knob (one line in ``repro.flows`` CLI)."""
         return {
             "jobs": self.resolve_jobs(),
-            "hdl_cache": self.hdl_cache_enabled,
-            "compile_cache_capacity": self.compile_cache_capacity,
-            "result_cache_capacity": self.result_cache_capacity,
             "trace": self.trace_enabled,
             "trace_file": self.trace_file,
             "sim_engine": self.sim_engine,

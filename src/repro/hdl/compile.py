@@ -20,35 +20,42 @@ splits compilation into explicit, separately-cacheable stages:
   a pure function of ``(sources, top, max_time, seed)``, so repeated
   identical runs are served from cache.
 
-Poison safety: cache entries are stored as pickled blobs and every lookup —
-hit *or* cold — materializes fresh objects from the blob, so mutating a
-returned ``CompiledDesign`` (or the AST reachable from it) cannot corrupt
-later hits.  ``pickle.loads`` of a design is ~12x cheaper than re-parsing.
-
-Each layer is a named region of one shared :class:`repro.store.CacheBackend`
-— a bounded in-memory LRU front by default, tiered over the on-disk
-content-addressed :class:`repro.store.DiskStore` when ``REPRO_STORE=1``, so
-a second process starts warm from the first one's artifacts.  Capacities
-can be tuned with ``REPRO_COMPILE_CACHE`` (designs/parses/programs) and
-``REPRO_RESULT_CACHE`` (testbench results), and the whole layer disabled
-with ``REPRO_HDL_CACHE=0``.
+Each layer is one bounded :class:`~repro.store.LruCache` of *live* objects
+(``parse``, ``design``, ``program``, ``result``): a hit hands back the
+object that was stored, so what the cache returns is shared and no caller
+may mutate it (``TestbenchResult`` is frozen; ``SourceFile``, ``Design``
+and ``CompiledProgram`` are read-only by contract, pinned by
+``tests/test_compile_cache.py``).  When ``REPRO_STORE=1`` the process-wide
+:class:`~repro.store.DiskStore` sits behind every layer: a memory miss
+reads it (a disk hit is promoted into the LRU) and a store writes
+through, so a second process starts warm from the first one's artifacts.
+Pickling happens only there, on the way to and from disk.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import ast as A
 from ..obs import get_tracer
-from ..store import (CacheStats, MemoryBackend, TieredBackend, content_key,
-                     get_default_store)
-from ..store import LruBlobCache as _LruBlobCache  # noqa: F401 (re-export)
+from ..store import CacheStats, LruCache, content_key, get_default_store
 from .elaborate import Design, elaborate
 from .parser import parse
+
+#: Capacity of the parse, design and program layers.
+COMPILE_CACHE_CAPACITY = 256
+#: Capacity of the testbench-result memo.
+RESULT_CACHE_CAPACITY = 1024
+
+LAYERS = ("parse", "design", "program", "result")
+
+# Process-wide per-layer counters that survive cache replacement: bench
+# harnesses and tests build private ``CompileCache`` instances or reset the
+# default cache mid-run, and the telemetry snapshot must still see every
+# lookup.  ``flush_metrics`` reports these as ``hdl.cache.*``.
+_CUMULATIVE = {layer: CacheStats() for layer in LAYERS}
 
 
 def source_key(source: str) -> str:
@@ -56,100 +63,29 @@ def source_key(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8", "replace")).hexdigest()
 
 
-# Process-wide per-layer counters that survive cache replacement.  Bench
-# harnesses (and some tests) build private ``CompileCache`` instances or
-# reset the default cache mid-run, which used to zero the per-instance
-# stats before the telemetry snapshot was taken — every ``hdl.cache.*``
-# gauge read 0.0 despite thousands of lookups.  The cumulative registry
-# accumulates across *all* instances and is what ``flush_metrics`` merges
-# into snapshots (as ``hdl.cache_cumulative.*``).
-_CUMULATIVE: dict[str, CacheStats] = {}
-_CUM_LOCK = threading.Lock()
-
-
-def _cum(layer: str) -> CacheStats:
-    with _CUM_LOCK:
-        stats = _CUMULATIVE.get(layer)
-        if stats is None:
-            stats = _CUMULATIVE[layer] = CacheStats()
-        return stats
-
-
-def cumulative_gauges(prefix: str = "hdl.cache_cumulative") -> dict[str, float]:
-    """Flat gauge view of the process-wide cache counters."""
-    with _CUM_LOCK:
-        layers = sorted(_CUMULATIVE)
-    return {f"{prefix}.{layer}.{key}": round(float(value), 6)
-            for layer in layers
-            for key, value in _cum(layer).as_dict().items()}
-
-
-class _LayerView:
-    """One compile-cache layer as a named-region view over the shared
-    :class:`~repro.store.CacheBackend`.
-
-    Keys stay the structured tuples the call sites use; the view hashes
-    them to the backend's string keyspace with
-    :func:`~repro.store.content_key` (parse keys are already digests).
-    Stats, capacity and size report the in-memory tier — in-process cache
-    effectiveness — while disk-tier hits/misses/corruption accumulate in
-    the :class:`~repro.store.DiskStore`'s own ``store.*`` counters.
-    """
-
-    __slots__ = ("_backend", "_memory", "name")
-
-    def __init__(self, backend: TieredBackend | MemoryBackend, name: str):
-        self._backend = backend
-        self._memory = backend.memory \
-            if isinstance(backend, TieredBackend) else backend
-        self.name = name
-
-    @staticmethod
-    def _skey(key: object) -> str:
-        return key if isinstance(key, str) else content_key(key)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._memory.region(self.name).stats
-
-    @property
-    def capacity(self) -> int:
-        return self._memory.region(self.name).capacity
-
-    def __len__(self) -> int:
-        return len(self._memory.region(self.name))
-
-    def get(self, key: object) -> bytes | None:
-        return self._backend.get(self.name, self._skey(key))
-
-    def put(self, key: object, blob: bytes) -> None:
-        self._backend.put(self.name, self._skey(key), blob)
-
-    def record_live_hit(self) -> None:
-        """Count a hit served from a live (unpickled) side table."""
-        lru = self._memory.region(self.name)
-        lru.stats.hits += 1
-        lru._cum.hits += 1
-
-    def clear(self) -> None:
-        """Drop the in-memory tier; persisted artifacts survive."""
-        self._memory.region(self.name).clear()
+def cache_gauges() -> dict[str, float]:
+    """Flat ``hdl.cache.<layer>.<stat>`` gauges of the process-wide
+    counters."""
+    return {f"hdl.cache.{layer}.{key}": round(float(value), 6)
+            for layer in LAYERS
+            for key, value in _CUMULATIVE[layer].as_dict().items()}
 
 
 @dataclass(frozen=True)
 class CompiledSource:
-    """One parsed compilation unit.  ``source_file`` is caller-owned."""
+    """One parsed compilation unit.  ``source_file`` is the cached AST,
+    shared with every other hit: read it, never mutate it."""
 
     key: str
     source_file: A.SourceFile
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledDesign:
     """An elaborated design plus its cache identity.
 
-    ``design`` is a fresh materialization — callers may mutate it freely
-    without affecting later cache hits.
+    ``design`` is the cached object, shared with every other hit (and with
+    the compiled program built from it): read it, never mutate it.
     """
 
     key: tuple
@@ -159,84 +95,53 @@ class CompiledDesign:
     units: tuple[str, ...] = ()
 
 
-def cache_enabled() -> bool:
-    from ..config import get_settings
-    return get_settings().hdl_cache_enabled
-
-
 class CompileCache:
     """Four-layer compile cache: parse, link+elaborate, programs, results.
 
-    The layers are views over one shared :class:`~repro.store.CacheBackend`
-    — memory-only by default, tiered over the process-wide
-    :class:`~repro.store.DiskStore` when ``REPRO_STORE=1`` (resolved live,
-    so flipping the knob mid-process takes effect on the next lookup).  A
-    custom ``backend`` (any :class:`~repro.store.TieredBackend` or
-    :class:`~repro.store.MemoryBackend`) overrides both.
+    Each layer is an LRU of live objects.  The process-wide
+    :class:`~repro.store.DiskStore` is resolved live on every memory miss
+    and every store (``REPRO_STORE`` flips take effect on the next lookup).
     """
 
     def __init__(self, parse_capacity: int | None = None,
                  design_capacity: int | None = None,
-                 result_capacity: int | None = None,
-                 backend: TieredBackend | MemoryBackend | None = None):
-        from ..config import get_settings
-        settings = get_settings()
-        cap = settings.compile_cache_capacity
-        if backend is None:
-            capacities = {
-                "parse": parse_capacity or cap,
-                "design": design_capacity or cap,
-                "program": design_capacity or cap,
-                "result": result_capacity or settings.result_cache_capacity,
-            }
-            backend = TieredBackend(
-                MemoryBackend(capacities,
-                              cumulative={r: _cum(r) for r in capacities}),
-                disk=get_default_store)
-        self._backend = backend
-        self._parses = _LayerView(backend, "parse")
-        self._designs = _LayerView(backend, "design")
-        self._results = _LayerView(backend, "result")
-        self._programs = _LayerView(backend, "program")
-        # Live ASTs for internal linking only (never handed to callers):
-        # avoids an unpickle on the design-miss path.  Bounded alongside
-        # the parse LRU by periodic pruning.
-        self._live: dict[str, A.SourceFile] = {}
-        # Live compiled-program entries: keeps the exec'd namespace warm
-        # (re-exec'ing generated source is the expensive half of a program
-        # unpickle).  Bounded the same way as ``_live``.
-        self._live_programs: dict[tuple, tuple] = {}
-        self._lock = threading.Lock()
+                 result_capacity: int | None = None):
+        capacities = {
+            "parse": parse_capacity or COMPILE_CACHE_CAPACITY,
+            "design": design_capacity or COMPILE_CACHE_CAPACITY,
+            "program": design_capacity or COMPILE_CACHE_CAPACITY,
+            "result": result_capacity or RESULT_CACHE_CAPACITY,
+        }
+        self._layers = {layer: LruCache(capacities[layer], _CUMULATIVE[layer])
+                        for layer in LAYERS}
+
+    def _get(self, layer: str, key: object) -> object | None:
+        value = self._layers[layer].get(key)
+        if value is None:
+            store = get_default_store()
+            if store is not None:
+                value = store.load(layer, _disk_key(key))
+                if value is not None:
+                    # Promote: later lookups in this process stay off disk.
+                    self._layers[layer].put(key, value)
+        return value
+
+    def _put(self, layer: str, key: object, value: object) -> None:
+        self._layers[layer].put(key, value)
+        store = get_default_store()
+        if store is not None:
+            store.save(layer, _disk_key(key), value)
 
     # -- parse layer --------------------------------------------------------
 
-    def _parse_shared(self, source: str) -> tuple[str, A.SourceFile]:
-        """Parse with caching; the returned AST is shared and must not be
-        mutated (internal use only)."""
-        key = source_key(source)
-        with self._lock:
-            live = self._live.get(key)
-        if live is not None:
-            self._parses.record_live_hit()
-            return key, live
-        blob = self._parses.get(key)
-        if blob is not None:
-            sf = pickle.loads(blob)
-        else:
-            sf = parse(source)
-            self._parses.put(key, pickle.dumps(sf, pickle.HIGHEST_PROTOCOL))
-        with self._lock:
-            if len(self._live) >= self._parses.capacity:
-                self._live.clear()
-            self._live[key] = sf
-        return key, sf
-
     def parse(self, source: str) -> CompiledSource:
-        """Parse one unit; the returned AST is a private copy."""
-        key, _ = self._parse_shared(source)
-        blob = self._parses.get(key)
-        assert blob is not None
-        return CompiledSource(key, pickle.loads(blob))
+        """Parse one unit, served from the parse layer when possible."""
+        key = source_key(source)
+        sf = self._get("parse", key)
+        if sf is None:
+            sf = parse(source)
+            self._put("parse", key, sf)
+        return CompiledSource(key, sf)
 
     # -- link + elaborate layer --------------------------------------------
 
@@ -258,22 +163,16 @@ class CompileCache:
         unit_list = [sources] if isinstance(sources, str) else list(sources)
         keys = tuple(source_key(s) for s in unit_list)
         dkey = (keys, top)
-        blob = self._designs.get(dkey)
-        if blob is not None:
-            return CompiledDesign(dkey, top, pickle.loads(blob),
-                                  from_cache=True, units=keys)
+        design = self._get("design", dkey)
+        if design is not None:
+            return CompiledDesign(dkey, top, design, from_cache=True,
+                                  units=keys)
         merged = A.SourceFile()
         for unit in unit_list:
-            _, sf = self._parse_shared(unit)
-            merged.modules.update(sf.modules)
+            merged.modules.update(self.parse(unit).source_file.modules)
         design = elaborate(merged, top)
-        blob = pickle.dumps(design, pickle.HIGHEST_PROTOCOL)
-        self._designs.put(dkey, blob)
-        # Materialize from the blob even on the cold path: the freshly
-        # elaborated design references the shared parse-cache AST, and the
-        # caller is allowed to mutate what we hand out.
-        return CompiledDesign(dkey, top, pickle.loads(blob),
-                              from_cache=False, units=keys)
+        self._put("design", dkey, design)
+        return CompiledDesign(dkey, top, design, from_cache=False, units=keys)
 
     # -- compiled-program layer ---------------------------------------------
 
@@ -284,67 +183,39 @@ class CompileCache:
         negative results are cached too, so an unsupported design is
         analysed once — or ``None`` on a miss.
         """
-        with self._lock:
-            live = self._live_programs.get(design_key)
-        if live is not None:
-            self._programs.record_live_hit()
-            return live
-        blob = self._programs.get(design_key)
-        if blob is None:
-            return None
-        entry = pickle.loads(blob)
-        with self._lock:
-            if len(self._live_programs) >= self._programs.capacity:
-                self._live_programs.clear()
-            self._live_programs[design_key] = entry
-        return entry
+        return self._get("program", design_key)
 
     def put_program(self, design_key: tuple, entry: tuple) -> None:
         """Store a ``("ok", program)`` / ``("ineligible", reason)`` entry."""
-        self._programs.put(
-            design_key, pickle.dumps(entry, pickle.HIGHEST_PROTOCOL))
-        with self._lock:
-            if len(self._live_programs) >= self._programs.capacity:
-                self._live_programs.clear()
-            self._live_programs[design_key] = entry
+        self._put("program", design_key, entry)
 
     # -- result memo --------------------------------------------------------
 
     def get_result(self, key: tuple) -> object | None:
-        blob = self._results.get(key)
-        return pickle.loads(blob) if blob is not None else None
+        return self._get("result", key)
 
     def put_result(self, key: tuple, result: object) -> None:
-        self._results.put(key, pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        self._put("result", key, result)
 
     # -- management ---------------------------------------------------------
 
     def stats(self) -> dict[str, CacheStats]:
-        return {"parse": self._parses.stats, "design": self._designs.stats,
-                "result": self._results.stats,
-                "program": self._programs.stats}
+        """This instance's memory-tier counters per layer."""
+        return {layer: lru.stats for layer, lru in self._layers.items()}
 
     def stats_dict(self) -> dict[str, dict[str, float]]:
-        layers = {"parse": self._parses, "design": self._designs,
-                  "result": self._results, "program": self._programs}
-        return {name: {**lru.stats.as_dict(), "size": len(lru)}
-                for name, lru in layers.items()}
-
-    def metrics_gauges(self, prefix: str = "hdl.cache") -> dict[str, float]:
-        """Flat ``prefix.layer.stat`` gauge view of :meth:`stats` for
-        telemetry snapshots (see :func:`repro.obs.flush_metrics`)."""
-        return {f"{prefix}.{layer}.{key}": round(float(value), 6)
-                for layer, stats in self.stats_dict().items()
-                for key, value in stats.items()}
+        return {layer: {**lru.stats.as_dict(), "size": len(lru)}
+                for layer, lru in self._layers.items()}
 
     def clear(self) -> None:
-        self._parses.clear()
-        self._designs.clear()
-        self._results.clear()
-        self._programs.clear()
-        with self._lock:
-            self._live.clear()
-            self._live_programs.clear()
+        """Drop the memory tier; persisted artifacts survive."""
+        for lru in self._layers.values():
+            lru.clear()
+
+
+def _disk_key(key: object) -> str:
+    # Parse keys are already digests; structured keys hash to one.
+    return key if isinstance(key, str) else content_key(key)
 
 
 _default_cache = CompileCache()
@@ -362,16 +233,5 @@ def set_default_cache(cache: CompileCache) -> CompileCache:
 
 def compile_design(sources: str | Sequence[str], top: str,
                    cache: CompileCache | None = None) -> CompiledDesign:
-    """Compile (and link) ``sources``; elaborate ``top``.  Cached by content.
-
-    With ``REPRO_HDL_CACHE=0`` this degrades to a plain parse+elaborate.
-    """
-    if not cache_enabled():
-        unit_list = [sources] if isinstance(sources, str) else list(sources)
-        merged = A.SourceFile()
-        for unit in unit_list:
-            merged.modules.update(parse(unit).modules)
-        design = elaborate(merged, top)
-        return CompiledDesign((tuple(source_key(s) for s in unit_list), top),
-                              top, design)
+    """Compile (and link) ``sources``; elaborate ``top``.  Cached by content."""
     return (cache or _default_cache).compile(sources, top)

@@ -12,11 +12,11 @@ Two ways to exercise a design:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..obs import get_metrics, get_tracer
-from .compile import (CompileCache, CompiledDesign, cache_enabled,
-                      compile_design, get_default_cache, source_key)
+from .compile import (CompileCache, CompiledDesign, compile_design,
+                      get_default_cache, source_key)
 from .compiled import (CompiledProgram, CompiledSim, UnsupportedDesign,
                        XBail, compile_program)
 from .elaborate import Design
@@ -25,16 +25,19 @@ from .simulator import Simulator
 from .values import Logic
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestbenchResult:
-    """Outcome of one compile+simulate run of a testbench."""
+    """Outcome of one compile+simulate run of a testbench.
+
+    Frozen: the result memo hands the same instance to every caller.
+    """
 
     compiled: bool
     pass_count: int = 0
     fail_count: int = 0
     error_count: int = 0
     finished: bool = False
-    output: list[str] = field(default_factory=list)
+    output: tuple[str, ...] = ()
     compile_error: str = ""
     runtime_error: str = ""
     sim_time: int = 0
@@ -74,34 +77,31 @@ class TestbenchResult:
         return "\n".join([header] + lines[:max_lines])
 
 
-def _copy_result(result: TestbenchResult) -> TestbenchResult:
-    """Detached copy so cached results can't be poisoned by the caller."""
-    return replace(result, output=list(result.output))
-
-
-def _scan_checks(result: TestbenchResult) -> None:
-    for line in result.output:
+def _sim_result(sim: Simulator | CompiledSim,
+                runtime_error: str = "") -> TestbenchResult:
+    """Score a finished simulation by the PASS/FAIL lines it printed."""
+    output = tuple(sim.output)
+    passes = fails = 0
+    for line in output:
         if line.startswith("ERROR:"):
             continue  # already counted via error_count
         if "FAIL" in line:
-            result.fail_count += 1
+            fails += 1
         elif "PASS" in line:
-            result.pass_count += 1
+            passes += 1
+    return TestbenchResult(compiled=True, pass_count=passes,
+                           fail_count=fails, error_count=sim.error_count,
+                           finished=sim.finished, output=output,
+                           runtime_error=runtime_error, sim_time=sim.time)
 
 
 def _simulate(design: Design, max_time: int, seed: int) -> TestbenchResult:
     sim = Simulator(design, seed=seed)
-    result = TestbenchResult(compiled=True)
     try:
         sim.run(max_time=max_time)
     except HdlError as exc:
-        result.runtime_error = str(exc)
-    result.output = sim.output
-    result.error_count = sim.error_count
-    result.finished = sim.finished
-    result.sim_time = sim.time
-    _scan_checks(result)
-    return result
+        return _sim_result(sim, runtime_error=str(exc))
+    return _sim_result(sim)
 
 
 def _simulate_compiled(program: CompiledProgram, max_time: int,
@@ -110,48 +110,38 @@ def _simulate_compiled(program: CompiledProgram, max_time: int,
     engine must re-run the case (it reproduces the authoritative error)."""
     sim = CompiledSim(program, seed=seed)
     sim.run(max_time=max_time)
-    result = TestbenchResult(compiled=True)
-    result.output = sim.output
-    result.error_count = sim.error_count
-    result.finished = sim.finished
-    result.sim_time = sim.time
-    _scan_checks(result)
-    return result
+    return _sim_result(sim)
 
 
-def _obtain_program(compiled: CompiledDesign, cache: CompileCache,
-                    use_cache: bool) -> tuple:
+def _obtain_program(compiled: CompiledDesign, cache: CompileCache) -> tuple:
     """``("ok", program)`` or ``("ineligible", reason)`` for a design,
     served from the program cache when possible (negative results cache
     too, so an unsupported design is analysed once)."""
-    if use_cache:
-        entry = cache.get_program(compiled.key)
-        if entry is not None:
-            return entry
+    entry = cache.get_program(compiled.key)
+    if entry is not None:
+        return entry
     with get_tracer().span("hdl.compile_program", top=compiled.top) as sp:
         try:
             entry = ("ok", compile_program(compiled.design))
         except UnsupportedDesign as exc:
             entry = ("ineligible", str(exc))
         sp.set(eligible=entry[0] == "ok")
-    if use_cache:
-        cache.put_program(compiled.key, entry)
+    cache.put_program(compiled.key, entry)
     return entry
 
 
 def _run_engine(compiled: CompiledDesign, max_time: int, seed: int,
-                mode: str, cache: CompileCache,
-                use_cache: bool) -> TestbenchResult:
+                mode: str, cache: CompileCache) -> TestbenchResult:
     """Simulate with the selected engine; results are engine-independent.
 
-    ``auto`` uses the compiled fast path only when the program cache can
-    amortize compilation (one-shot uncached runs are faster on the event
-    engine); ``compiled`` always tries it.  Ineligible designs and runtime
-    bails fall back to the event engine — the authoritative semantics.
+    ``auto`` and ``compiled`` use the compiled fast path, its program
+    amortized by the program cache; ``event`` forces the interpreter.
+    Ineligible designs and runtime bails fall back to the event engine —
+    the authoritative semantics.
     """
     tracer = get_tracer()
-    if mode == "compiled" or (mode == "auto" and use_cache):
-        entry = _obtain_program(compiled, cache, use_cache)
+    if mode != "event":
+        entry = _obtain_program(compiled, cache)
         if entry[0] == "ok":
             try:
                 with tracer.span("hdl.sim", backend="compiled",
@@ -179,15 +169,13 @@ def run_testbench(source: str, top: str, max_time: int = 200_000,
     """
     from ..config import get_settings
     units = (source,) if tb_source is None else (source, tb_source)
-    use_cache = cache_enabled()
     cache = cache or get_default_cache()
     mode = get_settings().sim_engine
-    if use_cache:
-        rkey = ("tb", tuple(source_key(u) for u in units), top, max_time,
-                seed, mode)
-        hit = cache.get_result(rkey)
-        if hit is not None:
-            return _copy_result(hit)
+    rkey = ("tb", tuple(source_key(u) for u in units), top, max_time, seed,
+            mode)
+    hit = cache.get_result(rkey)
+    if hit is not None:
+        return hit
     try:
         compiled = compile_design(units, top, cache=cache)
     except HdlError as exc:
@@ -200,13 +188,10 @@ def run_testbench(source: str, top: str, max_time: int = 200_000,
             # splice into the testbench text and "compile" — honour that.
             result = run_testbench("\n".join(units), top, max_time=max_time,
                                    seed=seed, cache=cache)
-        if use_cache:
-            cache.put_result(rkey, result)
-        return _copy_result(result)
-    result = _run_engine(compiled, max_time, seed, mode, cache, use_cache)
-    if use_cache:
-        cache.put_result(rkey, result)
-    return _copy_result(result)
+    else:
+        result = _run_engine(compiled, max_time, seed, mode, cache)
+    cache.put_result(rkey, result)
+    return result
 
 
 class StimulusRunner:

@@ -55,7 +55,7 @@ def flush_metrics(tracer: Tracer | None = None) -> dict | None:
     """Emit one metrics snapshot record to the tracer's sink.
 
     The snapshot merges the process-wide registry (simulator/evaluator
-    counters and histograms) with the default compile cache's layer
+    counters and histograms) with the compile cache's process-wide layer
     statistics surfaced as gauges, so a single JSONL trace carries both
     span timings and cache effectiveness.  Returns the record, or ``None``
     when tracing is disabled.
@@ -65,16 +65,14 @@ def flush_metrics(tracer: Tracer | None = None) -> dict | None:
         return None
     snapshot = get_metrics().snapshot()
     # Lazy imports: avoid an import cycle with repro.hdl / repro.store.
-    from ..hdl.compile import cumulative_gauges, get_default_cache
+    from ..hdl.compile import cache_gauges
     from ..store import store_gauges
-    # The instance gauges cover the current default cache; the cumulative
-    # gauges survive cache replacement (bench harnesses install private
-    # caches), so traced runs always report nonzero cache activity.  The
-    # store gauges describe the disk tier (per-region hits/misses/corrupt
-    # blobs) when REPRO_STORE is enabled.
+    # The cache gauges count every compile-cache instance in the process
+    # (bench harnesses install private caches), so traced runs always
+    # report the activity.  The store gauges describe the disk tier
+    # (per-region hits/misses/corrupt blobs) when REPRO_STORE is enabled.
     gauges = {**snapshot.pop("gauges", {}),
-              **get_default_cache().metrics_gauges(),
-              **cumulative_gauges(),
+              **cache_gauges(),
               **store_gauges()}
     record = {"type": "metrics", "gauges": gauges, **snapshot}
     tracer.emit(record)

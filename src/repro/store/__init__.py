@@ -1,41 +1,39 @@
-"""``repro.store`` — persistent content-addressed artifacts, one cache API.
+"""``repro.store`` — persistent content-addressed artifacts.
 
 The ROADMAP's warm-restart story: every cache and campaign ledger in the
 repo used to die with the process, so sweeps, fuzz campaigns, and CI
 always started cold.  This package provides
 
-* :class:`CacheBackend` — the unified protocol (``get/put/stats`` over
-  named regions of pickled blobs) that ``hdl.compile``'s layers are now
-  views of;
-* :class:`MemoryBackend` / :class:`DiskStore` / :class:`TieredBackend` —
-  the in-process LRU front, the on-disk content-addressed store (atomic
-  writes, corruption-tolerant reads), and their composition;
+* :class:`DiskStore` — the on-disk content-addressed store (atomic
+  writes, corruption-tolerant reads) behind the :class:`CacheBackend`
+  blob protocol; ``hdl.compile``'s layers keep live objects in
+  :class:`LruCache` s and pickle only on the way to it;
 * :class:`CampaignJournal` + :func:`campaign_scope` — checkpointed
   campaigns: sweeps and fuzz runs journal completed cells and
   ``--resume`` restarts mid-campaign byte-identically.
 
 Enable persistence with ``REPRO_STORE=1`` (artifacts under
 ``REPRO_STORE_DIR``, default ``.repro-store``); everything stays
-memory-only — today's exact behaviour — when the knob is off.  Disk
-caching cannot change results: keys are content hashes of everything a
-computation depends on, and values round-trip through the same pickled
-blobs the in-memory caches already use (DESIGN.md §11).
+memory-only when the knob is off.  Disk caching cannot change results:
+keys are content hashes of everything a computation depends on, and a
+disk hit unpickles to a value equal to the one that was stored
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 import threading
 
-from .backend import (CacheBackend, CacheStats, DiskStore, LruBlobCache,
-                      MemoryBackend, TieredBackend, content_key)
+from .backend import (CacheBackend, CacheStats, DiskStore, LruCache,
+                      content_key)
 from .journal import (CAMPAIGN_REGION, MISS, CampaignJournal, campaign_scope,
                       current_journal)
 
 __all__ = [
     "CAMPAIGN_REGION", "CacheBackend", "CacheStats", "CampaignJournal",
-    "DiskStore", "LruBlobCache", "MISS", "MemoryBackend", "TieredBackend",
-    "campaign_scope", "content_key", "current_journal", "get_default_store",
-    "reset_default_store", "set_default_store", "store_gauges",
+    "DiskStore", "LruCache", "MISS", "campaign_scope", "content_key",
+    "current_journal", "get_default_store", "reset_default_store",
+    "set_default_store", "store_gauges",
 ]
 
 _default_store: DiskStore | None = None

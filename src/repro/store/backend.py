@@ -1,41 +1,36 @@
-"""Cache backends: one protocol, three implementations.
+"""Cache backends: the blob protocol, the disk store and the memory LRU.
 
-Every cache in the repo stores the same thing — a pickled blob under a
-content-derived key — but before this module each layer rolled its own
-container (four private LRUs inside ``hdl.compile``, ad-hoc dicts in the
-fuzz corpus, nothing persistent anywhere).  :class:`CacheBackend` is the
-one surface they all share now:
+:class:`CacheBackend` is the byte-level surface (``get/put/stats`` of
+pickled blobs over named regions) that campaign journals write through:
 
-* :class:`MemoryBackend` — bounded per-region LRUs; the in-process front.
 * :class:`DiskStore` — an on-disk content-addressed store
   (``<root>/<region>/<aa>/<digest>`` files).  Writes are atomic (temp
   file + ``os.replace`` in the same directory), so concurrent writers —
   including :class:`~repro.exec.parallel.ParallelEvaluator` process
   workers sharing one store directory — can never expose a torn blob.
-  Reads are corruption-tolerant: a truncated or garbage file is treated
-  as a miss (and counted), never an exception.
-* :class:`TieredBackend` — memory front, disk behind; disk hits are
-  promoted into memory.
+  Reads are corruption-tolerant: a truncated or garbage file, or a whole
+  frame that does not unpickle (:meth:`DiskStore.load`), is treated as a
+  miss (and counted), never an exception.
+* :class:`LruCache` — a bounded, thread-safe LRU of live objects; the
+  in-process tier of ``hdl.compile``'s layers.  Nothing is serialized on
+  the memory path: pickling happens only on the way to a
+  :class:`DiskStore`.
 
 Keys are strings; :func:`content_key` maps the repo's structured cache
 keys (tuples of hashes, tops, seeds) to a stable SHA-256 hex digest, so
 the same artifact lands at the same path in every process.
-
-Poison safety is inherited from the blob discipline ``hdl.compile``
-established: backends store and return ``bytes``, and callers materialize
-fresh objects from the blob on every lookup — a mutated deserialization
-can never corrupt later hits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from ..obs import get_metrics, get_tracer
 
@@ -92,12 +87,16 @@ class CacheBackend(Protocol):
     def stats(self) -> dict[str, CacheStats]: ...
 
 
-class LruBlobCache:
-    """Bounded LRU of pickled blobs (thread-safe; shared by thread pools)."""
+class LruCache:
+    """Bounded LRU of live objects (thread-safe; shared by thread pools).
+
+    ``cumulative`` optionally shares process-wide counters that survive
+    the cache (see ``repro.hdl.compile``'s per-layer registry).
+    """
 
     def __init__(self, capacity: int, cumulative: CacheStats | None = None):
         self.capacity = max(1, int(capacity))
-        self._data: OrderedDict[object, bytes] = OrderedDict()
+        self._data: OrderedDict[object, object] = OrderedDict()
         self.stats = CacheStats()
         self._cum = cumulative or CacheStats()
         self._lock = threading.Lock()
@@ -105,27 +104,25 @@ class LruBlobCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: object, record: bool = True) -> bytes | None:
+    def get(self, key: object) -> object | None:
         with self._lock:
-            blob = self._data.get(key)
-            if blob is None:
-                if record:
-                    self.stats.misses += 1
-                    self._cum.misses += 1
+            value = self._data.get(key)
+            if value is None:
+                self.stats.misses += 1
+                self._cum.misses += 1
                 return None
             self._data.move_to_end(key)
-            if record:
-                self.stats.hits += 1
-                self._cum.hits += 1
-            return blob
+            self.stats.hits += 1
+            self._cum.hits += 1
+            return value
 
-    def put(self, key: object, blob: bytes) -> None:
+    def put(self, key: object, value: object) -> None:
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-                self._data[key] = blob
+                self._data[key] = value
                 return
-            self._data[key] = blob
+            self._data[key] = value
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.stats.evictions += 1
@@ -134,55 +131,6 @@ class LruBlobCache:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-
-
-class MemoryBackend:
-    """Per-region bounded LRUs behind the :class:`CacheBackend` protocol.
-
-    ``capacities`` fixes specific regions; unnamed regions get
-    ``default_capacity``.  ``cumulative`` optionally shares process-wide
-    per-region counters (see ``repro.hdl.compile``'s registry) so stats
-    survive cache replacement.
-    """
-
-    def __init__(self, capacities: Mapping[str, int] | None = None,
-                 default_capacity: int = 256,
-                 cumulative: Mapping[str, CacheStats] | None = None):
-        self._capacities = dict(capacities or {})
-        self._default_capacity = max(1, int(default_capacity))
-        self._cumulative = dict(cumulative or {})
-        self._regions: dict[str, LruBlobCache] = {}
-        self._lock = threading.Lock()
-
-    def region(self, region: str) -> LruBlobCache:
-        with self._lock:
-            lru = self._regions.get(region)
-            if lru is None:
-                lru = LruBlobCache(
-                    self._capacities.get(region, self._default_capacity),
-                    self._cumulative.get(region))
-                self._regions[region] = lru
-            return lru
-
-    def get(self, region: str, key: str) -> bytes | None:
-        return self.region(region).get(key)
-
-    def put(self, region: str, key: str, blob: bytes) -> None:
-        self.region(region).put(key, blob)
-
-    def stats(self) -> dict[str, CacheStats]:
-        with self._lock:
-            return {name: lru.stats for name, lru in self._regions.items()}
-
-    def sizes(self) -> dict[str, int]:
-        with self._lock:
-            return {name: len(lru) for name, lru in self._regions.items()}
-
-    def clear(self) -> None:
-        with self._lock:
-            regions = list(self._regions.values())
-        for lru in regions:
-            lru.clear()
 
 
 class DiskStore:
@@ -219,33 +167,52 @@ class DiskStore:
     # -- CacheBackend -------------------------------------------------------
 
     def get(self, region: str, key: str) -> bytes | None:
+        return self._read(region, key, None)
+
+    def load(self, region: str, key: str) -> object | None:
+        """The unpickled object under ``key``, or ``None`` on a miss.
+
+        A whole frame whose payload does not unpickle (garbage in a valid
+        frame, a class that changed shape) is a counted corrupt miss too.
+        """
+        return self._read(region, key, pickle.loads)
+
+    def save(self, region: str, key: str, value: object) -> None:
+        """Pickle ``value`` and :meth:`put` it."""
+        self.put(region, key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+
+    def _read(self, region: str, key: str,
+              decode: Callable[[bytes], object] | None) -> object | None:
         stats = self._region_stats(region)
-        path = self._path(region, key)
         try:
-            with open(path, "rb") as fh:
+            with open(self._path(region, key), "rb") as fh:
                 blob = fh.read()
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-            stats.misses += 1
-            self._observe("misses")
-            return None
+            return self._miss(stats, corrupt=False)
         except OSError:
             # Unreadable entry (permissions, I/O error): a miss, not a crash.
-            stats.misses += 1
-            stats.corrupt += 1
-            self._observe("misses")
-            self._observe("corrupt")
-            return None
+            return self._miss(stats, corrupt=True)
         if not _blob_ok(blob):
             # Truncated or garbage entry — e.g. a crash mid-write on a
             # filesystem without atomic rename, or external vandalism.
-            stats.misses += 1
-            stats.corrupt += 1
-            self._observe("misses")
-            self._observe("corrupt")
-            return None
+            return self._miss(stats, corrupt=True)
+        value: object = _strip_frame(blob)
+        if decode is not None:
+            try:
+                value = decode(value)
+            except Exception:
+                # Unpickling garbage can raise almost any exception type.
+                return self._miss(stats, corrupt=True)
         stats.hits += 1
         self._observe("hits")
-        return _strip_frame(blob)
+        return value
+
+    def _miss(self, stats: CacheStats, corrupt: bool) -> None:
+        stats.misses += 1
+        self._observe("misses")
+        if corrupt:
+            stats.corrupt += 1
+            self._observe("corrupt")
 
     def put(self, region: str, key: str, blob: bytes) -> None:
         path = self._path(region, key)
@@ -336,44 +303,3 @@ def _strip_frame(framed: bytes) -> bytes:
 
 def _is_digest(key: str) -> bool:
     return len(key) == 64 and all(c in "0123456789abcdef" for c in key)
-
-
-class TieredBackend:
-    """Memory front + optional disk behind, as one :class:`CacheBackend`.
-
-    ``disk`` may be a :class:`DiskStore`, ``None``, or a zero-argument
-    callable returning either — the callable form re-resolves on every
-    access, so a backend built at import time honours ``REPRO_STORE``
-    flips made later (tests, operators) without rebuilding caches.
-    """
-
-    def __init__(self, memory: MemoryBackend, disk=None):
-        self.memory = memory
-        self._disk = disk
-
-    @property
-    def disk(self) -> DiskStore | None:
-        disk = self._disk
-        return disk() if callable(disk) else disk
-
-    def get(self, region: str, key: str) -> bytes | None:
-        blob = self.memory.get(region, key)
-        if blob is not None:
-            return blob
-        disk = self.disk
-        if disk is None:
-            return None
-        blob = disk.get(region, key)
-        if blob is not None:
-            # Promote: later lookups in this process stay off the disk.
-            self.memory.put(region, key, blob)
-        return blob
-
-    def put(self, region: str, key: str, blob: bytes) -> None:
-        self.memory.put(region, key, blob)
-        disk = self.disk
-        if disk is not None:
-            disk.put(region, key, blob)
-
-    def stats(self) -> dict[str, CacheStats]:
-        return self.memory.stats()

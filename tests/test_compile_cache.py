@@ -1,16 +1,20 @@
 """Compile-cache correctness: hits equal cold compiles, eviction is
-bounded, and caller mutation cannot poison the cache."""
+bounded, the disk tier sits behind every layer, and no consumer mutates
+the live objects the cache hands out."""
 
+import dataclasses
+import hashlib
 import pickle
 
 import pytest
 
-from repro.bench.problems import all_problems
+from repro.bench.problems import all_problems, get_problem
 from repro.hdl import (CompileCache, HdlError, compile_design,
                        get_default_cache, run_testbench, set_default_cache,
                        source_key)
-from repro.hdl.testbench import StimulusRunner
-from repro.store import reset_default_store
+from repro.store import (DiskStore, LruCache, content_key,
+                         get_default_store, reset_default_store,
+                         set_default_store)
 
 
 PROBLEM = all_problems()[3]
@@ -20,7 +24,8 @@ PROBLEM = all_problems()[3]
 def _memory_only_store(monkeypatch):
     """These tests pin the *memory tier's* cold/hit/eviction contract; an
     ambient ``REPRO_STORE`` (e.g. the CI warm-start lane) would satisfy
-    cold lookups from disk and break the assertions."""
+    cold lookups from disk and break the assertions.  Disk-tier tests
+    install their own store."""
     monkeypatch.setenv("REPRO_STORE", "0")
     reset_default_store()
     yield
@@ -114,49 +119,166 @@ class TestBoundedEviction:
         cache = CompileCache(design_capacity=1, parse_capacity=2)
         units = (PROBLEM.reference, PROBLEM.testbench)
         first = compile_design(units, PROBLEM.tb_name, cache=cache)
+        baseline = pickle.dumps(first.design)
         other = all_problems()[4]
         compile_design((other.reference, other.testbench), other.tb_name,
                        cache=cache)
         again = compile_design(units, PROBLEM.tb_name, cache=cache)
-        assert pickle.dumps(first.design) == pickle.dumps(again.design)
+        assert not again.from_cache
+        assert pickle.dumps(again.design) == baseline
+
+
+def _digest(value: object) -> str:
+    return hashlib.sha256(pickle.dumps(value)).hexdigest()
+
+
+def _run_every_consumer(problems) -> None:
+    """Every path that reads compile-cache objects: each registered flow,
+    the agent, HLS cosim, CEC against simulation and ``exercise_module``."""
+    from repro.bench.workloads import REPAIR_WORKLOADS, TESTER_WORKLOADS
+    from repro.core.agent import run_agent_sweep
+    from repro.flows import detection_sweep, list_flows, run_flow
+    from repro.hdl import StimulusRunner, exercise_module, parse_module
+    from repro.hls import c_rtl_cosim, cparse
+    from repro.synth import synthesize_module
+    from repro.synth.cec import check_against_simulation
+
+    for spec in list_flows():
+        run_flow(spec.name, problems, "gpt-4", seed=3, jobs=1)
+    run_agent_sweep(problems, seeds=(3,), jobs=1)
+    detection_sweep(problems, seeds=(3,), jobs=1)
+    for p in problems:
+        runner = StimulusRunner(p.reference, p.module_name)
+        clk = "clk" if "clk" in runner.inputs else None
+        vectors = [{name: (7 * i + j) % (1 << runner.width_of(name))
+                    for j, name in enumerate(runner.inputs) if name != clk}
+                   for i in range(8)]
+        assert exercise_module(p.reference, p.module_name, vectors, clk=clk,
+                               reset="rst" if clk else None) is not None
+        if clk is None:
+            module = parse_module(p.reference, p.module_name)
+            cec = check_against_simulation(synthesize_module(module),
+                                           p.reference, module, vectors=16)
+            assert cec.equivalent
+    cosims = [w for w in REPAIR_WORKLOADS + TESTER_WORKLOADS
+              if w.workload_id in ("clean_already", "mac_overflow")]
+    assert len(cosims) == 2
+    for w in cosims:
+        assert c_rtl_cosim(cparse(w.source), w.top).vectors_run > 0
 
 
 class TestPoisonSafety:
-    def test_mutating_returned_design_does_not_poison(self, cache):
-        units = (PROBLEM.reference, PROBLEM.testbench)
-        first = compile_design(units, PROBLEM.tb_name, cache=cache)
-        baseline = pickle.dumps(first.design)
-        # Vandalize everything reachable from the returned object.
-        first.design.signals.clear()
-        first.design.processes.clear()
-        second = compile_design(units, PROBLEM.tb_name, cache=cache)
-        assert second.from_cache
-        assert pickle.dumps(second.design) == baseline
-
     def test_mutating_result_does_not_poison(self, cache):
-        first = run_testbench(PROBLEM.reference, PROBLEM.tb_name,
-                              tb_source=PROBLEM.testbench, cache=cache)
-        baseline = pickle.dumps(first)
-        first.output.clear()
-        first.runtime_error = "vandalized"
-        second = run_testbench(PROBLEM.reference, PROBLEM.tb_name,
+        """The result memo shares one instance, so mutation raises."""
+        result = run_testbench(PROBLEM.reference, PROBLEM.tb_name,
                                tb_source=PROBLEM.testbench, cache=cache)
-        assert pickle.dumps(second) == baseline
+        assert isinstance(result.output, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.runtime_error = "vandalized"
 
-    def test_mutating_parsed_ast_does_not_poison(self, cache):
-        src = "module p(input a, output y); assign y = ~a; endmodule"
-        first = cache.parse(src)
-        first.source_file.modules.clear()
-        second = cache.parse(src)
-        assert "p" in second.source_file.modules
+    def test_consumers_never_mutate_cached_objects(self, monkeypatch):
+        """The live-object contract: hash every value as the cache stores
+        it, run every consumer on two problems, and re-hash every entry
+        still live — nothing may have changed."""
+        stored: dict[tuple, tuple] = {}
+        real_put = LruCache.put
 
-    def test_stimulus_runner_isolated_from_cache(self, cache):
-        src = ("module dut(input clk, input [3:0] a, output [3:0] y);\n"
-               "  assign y = a + 4'd1;\nendmodule")
-        r1 = StimulusRunner(src, "dut", cache=cache)
-        r1.design.signals.clear()
-        r2 = StimulusRunner(src, "dut", cache=cache)
-        assert r2.design.signals  # fresh materialization, not the mutated one
+        def recording_put(lru, key, value):
+            stored[(id(lru), key)] = (lru, key, _digest(value))
+            real_put(lru, key, value)
+
+        monkeypatch.setattr(LruCache, "put", recording_put)
+        big = 1 << 20   # nothing is evicted, so every entry is re-hashed
+        set_default_cache(CompileCache(big, big, big))
+        _run_every_consumer([get_problem("c1_and4"),
+                             get_problem("c2_counter")])
+        layers = {layer for layer, s in get_default_cache().stats().items()
+                  if s.lookups}
+        assert layers == {"parse", "design", "program", "result"}
+        changed = [key for lru, key, digest in stored.values()
+                   if _digest(lru.get(key)) != digest]
+        assert len(stored) > 100
+        assert changed == []
+
+
+class TestLayers:
+    def test_roundtrip_and_stats(self, cache):
+        assert cache.get_result(("tb", "k")) is None
+        value = ("a", "live", "object")
+        cache.put_result(("tb", "k"), value)
+        assert cache.get_result(("tb", "k")) is value
+        stats = cache.stats()["result"]
+        assert (stats.hits, stats.misses) == (1, 1)
+
+    def test_layers_are_independent(self, cache):
+        cache.put_result(("k",), "result")
+        cache.put_program(("k",), ("ineligible", "program"))
+        assert cache.get_result(("k",)) == "result"
+        assert cache.get_program(("k",)) == ("ineligible", "program")
+
+
+class TestDiskTier:
+    """The disk store behind every layer (``REPRO_STORE=1``)."""
+
+    def test_disk_hit_is_promoted(self, tmp_path):
+        store = set_default_store(DiskStore(str(tmp_path)))
+        units = (PROBLEM.reference, PROBLEM.testbench)
+        cold = compile_design(units, PROBLEM.tb_name, cache=CompileCache())
+        fresh = CompileCache()          # as if in a second process
+        first = compile_design(units, PROBLEM.tb_name, cache=fresh)
+        second = compile_design(units, PROBLEM.tb_name, cache=fresh)
+        assert first.from_cache and second.from_cache
+        assert store.stats()["design"].hits == 1   # second stayed in memory
+        assert (fresh.stats()["design"].hits,
+                fresh.stats()["design"].misses) == (1, 1)
+        assert first.design == cold.design
+
+    def test_put_writes_disk_only_when_store_is_on(self, tmp_path):
+        cache = CompileCache()
+        cache.put_result(("tb", "off"), "memory only")
+        store = set_default_store(DiskStore(str(tmp_path)))
+        cache.put_result(("tb", "on"), "persisted")
+        assert store.keys("result") == [content_key(("tb", "on"))]
+        assert store.load("result", content_key(("tb", "on"))) == "persisted"
+
+    def test_store_flip_resolves_live(self, tmp_path, monkeypatch):
+        cache = CompileCache()
+        monkeypatch.setenv("REPRO_STORE", "1")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        cache.put_result(("tb", "k"), "v")
+        assert get_default_store().keys("result") == \
+            [content_key(("tb", "k"))]
+        cache.clear()
+        assert cache.get_result(("tb", "k")) == "v"     # served from disk
+        monkeypatch.setenv("REPRO_STORE", "0")
+        cache.clear()
+        assert cache.get_result(("tb", "k")) is None    # disk is off now
+
+    def test_eviction_is_bounded_and_counted(self, tmp_path):
+        store = set_default_store(DiskStore(str(tmp_path)))
+        cache = CompileCache(result_capacity=2)
+        for i in range(5):
+            cache.put_result(("tb", i), i)
+        stats = cache.stats_dict()["result"]
+        assert (stats["size"], stats["evictions"]) == (2, 3)
+        assert len(store.keys("result")) == 5
+        assert cache.get_result(("tb", 0)) == 0   # evicted, back from disk
+
+    def test_unpicklable_disk_blob_is_a_counted_miss(self, tmp_path):
+        """A validly framed payload that does not unpickle is a miss: the
+        design is recomputed, and the store counts the entry corrupt."""
+        store = set_default_store(DiskStore(str(tmp_path)))
+        units = (PROBLEM.reference, PROBLEM.testbench)
+        cold = compile_design(units, PROBLEM.tb_name, cache=CompileCache())
+        (digest,) = store.keys("design")
+        store.put("design", digest, b"framed, but not a pickle")
+        again = compile_design(units, PROBLEM.tb_name, cache=CompileCache())
+        assert not again.from_cache
+        assert again.design == cold.design
+        assert store.stats()["design"].corrupt == 1
+        # The recompute rewrote the slot.
+        assert compile_design(units, PROBLEM.tb_name,
+                              cache=CompileCache()).from_cache
 
 
 class TestKnobs:
@@ -165,14 +287,6 @@ class TestKnobs:
             source_key("module m; endmodule")
         assert source_key("module m; endmodule") != \
             source_key("module n; endmodule")
-
-    def test_cache_disable_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HDL_CACHE", "0")
-        cache = CompileCache()
-        units = (PROBLEM.reference, PROBLEM.testbench)
-        compile_design(units, PROBLEM.tb_name, cache=cache)
-        second = compile_design(units, PROBLEM.tb_name, cache=cache)
-        assert not second.from_cache
 
     def test_stats_shape(self, cache):
         units = (PROBLEM.reference, PROBLEM.testbench)
@@ -192,9 +306,7 @@ class TestThreadSafety:
         # be torn, and the cache must respect its capacity bound.
         import threading
 
-        from repro.hdl.compile import _LruBlobCache
-
-        cache = _LruBlobCache(capacity=16)
+        cache = LruCache(capacity=16)
         threads_n, iters, keyspace = 8, 400, 48
         errors: list[str] = []
         barrier = threading.Barrier(threads_n)
@@ -204,11 +316,11 @@ class TestThreadSafety:
             barrier.wait()
             for i in range(iters):
                 key = f"k{rng.randrange(keyspace)}"
-                blob = cache.get(key)
-                if blob is None:
+                value = cache.get(key)
+                if value is None:
                     cache.put(key, key.encode())
-                elif blob != key.encode():
-                    errors.append(f"torn read: {key!r} -> {blob!r}")
+                elif value != key.encode():
+                    errors.append(f"torn read: {key!r} -> {value!r}")
 
         threads = [threading.Thread(target=worker, args=(t,))
                    for t in range(threads_n)]
@@ -221,7 +333,7 @@ class TestThreadSafety:
         assert stats.hits + stats.misses == threads_n * iters
         assert stats.hits > 0 and stats.misses > 0
         assert len(cache) <= 16
-        # Entries still serve correct bytes after the stampede.
+        # Entries still serve correct values after the stampede.
         for key in [f"k{i}" for i in range(keyspace)]:
-            blob = cache.get(key)
-            assert blob is None or blob == key.encode()
+            value = cache.get(key)
+            assert value is None or value == key.encode()

@@ -1,7 +1,5 @@
 """Tests for the consolidated ``REPRO_*`` settings reader."""
 
-import warnings
-
 import pytest
 
 from repro.config import (ENV_JOBS, Settings, get_settings,
@@ -26,14 +24,6 @@ class TestGenericAccessors:
         monkeypatch.delenv("REPRO_TRACE")
         assert Settings.env_bool("REPRO_TRACE", True) is True
         assert Settings.env_bool("REPRO_TRACE", False) is False
-
-    def test_env_int_bad_value_warns_once(self, monkeypatch, settings):
-        monkeypatch.setenv("REPRO_COMPILE_CACHE", "many")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            assert settings.compile_cache_capacity == 256
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")      # second read stays silent
-            assert settings.compile_cache_capacity == 256
 
     def test_accessors_read_environment_live(self, monkeypatch, settings):
         monkeypatch.setenv("REPRO_CRITIC", "1")
@@ -63,6 +53,25 @@ class TestResolveJobs:
 class TestSnapshot:
     def test_snapshot_covers_every_knob(self, settings):
         assert set(settings.snapshot()) == {
-            "jobs", "hdl_cache", "compile_cache_capacity",
-            "result_cache_capacity", "trace", "trace_file", "sim_engine",
-            "store", "store_dir", "full_eval", "critic", "critic_judge"}
+            "jobs", "trace", "trace_file", "sim_engine", "store",
+            "store_dir", "full_eval", "critic", "critic_judge"}
+
+
+class TestRetiredCacheKnobs:
+    def test_retired_cache_knobs_are_inert(self, monkeypatch):
+        """The compile cache is always on at fixed capacities: setting the
+        three retired knobs to 0 neither disables it nor shrinks it."""
+        from repro.bench.problems import all_problems
+        from repro.hdl import CompileCache, compile_design
+
+        for suffix in ("HDL_CACHE", "COMPILE_CACHE", "RESULT_CACHE"):
+            monkeypatch.setenv("REPRO_" + suffix, "0")
+        monkeypatch.setenv("REPRO_STORE", "0")
+        cache = CompileCache()
+        problems = all_problems()[:2]
+        for p in problems:
+            compile_design((p.reference, p.testbench), p.tb_name, cache=cache)
+        p = problems[0]
+        again = compile_design((p.reference, p.testbench), p.tb_name,
+                               cache=cache)
+        assert again.from_cache

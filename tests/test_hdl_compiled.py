@@ -240,14 +240,12 @@ class TestTelemetry:
     def test_traced_run_reports_nonzero_cache_gauges(self):
         # Regression: bench harnesses compile via *private* caches, which
         # left every hdl.cache.* gauge at 0.0 in the written snapshot.
-        # The cumulative gauges must see activity regardless of instance.
-        cache = CompileCache()   # private, like benchmarks/_util.py
+        # The gauges count every instance in the process.
+        before = obs.flush_metrics()["gauges"]["hdl.cache.parse.misses"]
+        cache = CompileCache()   # private, like the bench harnesses
         run_testbench(COUNTER, "tb", seed=1, cache=cache)
-        record = obs.flush_metrics()
-        gauges = record["gauges"]
-        lookups = sum(v for k, v in gauges.items()
-                      if k.startswith("hdl.cache_cumulative.parse."))
-        assert lookups > 0
+        gauges = obs.flush_metrics()["gauges"]
+        assert gauges["hdl.cache.parse.misses"] == before + 1
 
     def test_backend_counters_tagged(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")

@@ -157,7 +157,14 @@ class TestMetrics:
         obs.get_metrics().counter("x").add(7)
         record = obs.flush_metrics()
         assert record["counters"]["x"] == 7
-        assert any(k.startswith("hdl.cache.") for k in record["gauges"])
+        # One gauge family: hdl.cache.<layer>.<stat> for all four layers,
+        # from the process-wide counters (present before any lookup).
+        cache_keys = {k for k in record["gauges"] if k.startswith("hdl.")}
+        assert cache_keys == {
+            f"hdl.cache.{layer}.{stat}"
+            for layer in ("parse", "design", "program", "result")
+            for stat in ("hits", "misses", "evictions", "corrupt",
+                         "hit_rate")}
         assert sink.metrics() == [record]
 
 

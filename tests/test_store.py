@@ -2,9 +2,10 @@
 
 The contract under test has three layers:
 
-* **backends** — the :class:`repro.store.CacheBackend` surface: memory
-  LRUs, the on-disk content-addressed store (atomic writes, corruption
-  tolerated as misses), and the tiered composition with promotion;
+* **the disk store** — the :class:`repro.store.CacheBackend` surface of
+  the on-disk content-addressed store (atomic writes, corruption
+  tolerated as misses; the compile cache's memory tier over it is pinned
+  in ``tests/test_compile_cache.py``);
 * **cross-process reuse** — a subprocess warm-starts from artifacts its
   parent (or an earlier subprocess) persisted;
 * **resume identity** — an interrupted sweep or fuzz campaign restarted
@@ -26,9 +27,8 @@ import repro
 from repro import obs
 from repro.exec import sweep_map
 from repro.fuzz.runner import campaign_fingerprint, run_campaign
-from repro.store import (MISS, CampaignJournal, DiskStore, MemoryBackend,
-                         TieredBackend, campaign_scope, content_key,
-                         current_journal, get_default_store,
+from repro.store import (MISS, CampaignJournal, DiskStore, campaign_scope,
+                         content_key, current_journal, get_default_store,
                          reset_default_store)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -72,30 +72,6 @@ class TestContentKey:
         assert set(digest) <= set("0123456789abcdef")
 
 
-class TestMemoryBackend:
-    def test_roundtrip_and_stats(self):
-        backend = MemoryBackend()
-        assert backend.get("r", "k") is None
-        backend.put("r", "k", b"blob")
-        assert backend.get("r", "k") == b"blob"
-        stats = backend.stats()["r"]
-        assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_regions_are_independent(self):
-        backend = MemoryBackend()
-        backend.put("a", "k", b"1")
-        backend.put("b", "k", b"2")
-        assert backend.get("a", "k") == b"1"
-        assert backend.get("b", "k") == b"2"
-
-    def test_eviction_is_bounded_and_counted(self):
-        backend = MemoryBackend(capacities={"r": 2})
-        for i in range(5):
-            backend.put("r", f"k{i}", b"x")
-        assert backend.sizes()["r"] == 2
-        assert backend.stats()["r"].evictions == 3
-
-
 class TestDiskStore:
     def test_roundtrip(self, tmp_path):
         store = DiskStore(str(tmp_path / "store"))
@@ -137,6 +113,19 @@ class TestDiskStore:
         # The slot heals on the next write.
         store.put("r", key, b"good")
         assert store.get("r", key) == b"good"
+
+    def test_unpicklable_payload_is_a_counted_miss(self, tmp_path):
+        """A whole frame whose payload does not unpickle: ``get`` returns
+        the bytes, ``load`` a counted corrupt miss."""
+        store = DiskStore(str(tmp_path))
+        key = content_key("artifact")
+        store.put("r", key, b"not a pickle")
+        assert store.get("r", key) == b"not a pickle"
+        assert store.load("r", key) is None
+        stats = store.stats()["r"]
+        assert (stats.hits, stats.misses, stats.corrupt) == (1, 1, 1)
+        store.save("r", key, {"v": 1})
+        assert store.load("r", key) == {"v": 1}
 
     def test_corrupt_miss_increments_obs_counter(self, tmp_path):
         sink = obs.InMemorySink()
@@ -203,36 +192,6 @@ class TestDiskStore:
             t.join()
         assert not bad
         assert store.stats()["r"].corrupt == 0
-
-
-class TestTieredBackend:
-    def test_disk_hits_promote_to_memory(self, tmp_path):
-        disk = DiskStore(str(tmp_path))
-        memory = MemoryBackend()
-        tiered = TieredBackend(memory, disk)
-        key = content_key("k")
-        disk.put("r", key, b"artifact")  # as if another process wrote it
-        assert tiered.get("r", key) == b"artifact"   # miss -> disk hit
-        assert tiered.get("r", key) == b"artifact"   # memory hit
-        assert disk.stats()["r"].hits == 1
-        assert memory.stats()["r"].hits == 1
-
-    def test_put_writes_both_tiers(self, tmp_path):
-        disk = DiskStore(str(tmp_path))
-        tiered = TieredBackend(MemoryBackend(), disk)
-        tiered.put("r", content_key("k"), b"v")
-        assert disk.get("r", content_key("k")) == b"v"
-
-    def test_callable_disk_resolves_live(self, tmp_path):
-        disk = DiskStore(str(tmp_path))
-        enabled = {"on": False}
-        tiered = TieredBackend(
-            MemoryBackend(), lambda: disk if enabled["on"] else None)
-        tiered.put("r", content_key("k"), b"v")
-        assert disk.get("r", content_key("k")) is None  # disk was off
-        enabled["on"] = True
-        tiered.put("r", content_key("k2"), b"v2")
-        assert disk.get("r", content_key("k2")) == b"v2"
 
 
 class TestDefaultStore:
