@@ -3,17 +3,19 @@
 Every benchmark regenerates one of the paper's figures/claims and prints the
 corresponding table (run pytest with ``-s`` to see them).  Budgets default
 to scaled-down versions so ``pytest benchmarks/ --benchmark-only`` finishes
-quickly; set ``REPRO_FULL_EVAL=1`` to reproduce the full-budget numbers
-recorded in EXPERIMENTS.md.
+quickly; set ``REPRO_FULL_EVAL=1`` (or any other truthy value) to reproduce
+the full-budget numbers recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import os
 
+from repro.config import get_settings
+
 
 def full_eval() -> bool:
-    return os.environ.get("REPRO_FULL_EVAL", "") == "1"
+    return get_settings().full_eval
 
 
 def scale(full_value: float, quick_value: float) -> float:

@@ -1,15 +1,11 @@
 """Critic calibration + per-flow lift benchmark -> BENCH_critic.json.
 
-Three measurements back the critic's acceptance criteria:
+Two measurements back the critic's acceptance criteria:
 
 * **rule calibration** — the deterministic validators against the labeled
   adversarial corpus (``tests/corpus/critic/``) and the golden problem
   references: false-accept rate on the corpus and false-reject rate on
   the references must both be exactly zero;
-* **judge calibration** — the stage-two LLM judge alone over the same
-  corpus and references across a seed grid.  The judge is deliberately
-  noisy (it models reviewer uncertainty), so non-zero rates here are the
-  measured operating point, not a failure;
 * **per-flow lift** — each flow's headline quality metric with
   ``REPRO_CRITIC=0`` vs ``=1`` on a weak-model sweep, recording the
   pass@k lift (or cost) the critic buys per flow.
@@ -31,8 +27,7 @@ from _util import full_eval, print_table  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.bench.problems import all_problems, get_problem  # noqa: E402
-from repro.critic import (SimulatedJudge, validate_pragmas,  # noqa: E402
-                          validate_rtl)
+from repro.critic import validate_pragmas, validate_rtl  # noqa: E402
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _OUT_PATH = os.path.join(_REPO_ROOT, "BENCH_critic.json")
@@ -56,7 +51,7 @@ def _corpus():
 # -- rule calibration ---------------------------------------------------------
 
 def bench_rule_calibration() -> dict:
-    """Stage-one validators: FA on the corpus, FR on the references."""
+    """Rule validators: FA on the corpus, FR on the references."""
     corpus = _corpus()
     false_accepts = []
     for name, taxonomy, text in corpus:
@@ -74,51 +69,6 @@ def bench_rule_calibration() -> dict:
         "false_rejects": false_rejects,
         "false_accept_rate": round(len(false_accepts) / len(corpus), 6),
         "false_reject_rate": round(len(false_rejects) / len(references), 6),
-    }
-
-
-# -- judge calibration --------------------------------------------------------
-
-# Textual smells the judge keys on, spliced into reference sources to
-# make judge-targeted bad candidates (the rule corpus is structural, so
-# it measures the *combined* critic; the judge's own operating point
-# needs candidates carrying the signals it was built to notice).
-_SMELL_SPLICES = (
-    ("corrupt_literal", "  // checker log: expected 4'h3_wrong\n"),
-    ("x_literal", "  // reset leaves the bus at 8'bx for one cycle\n"),
-    ("rare_trigger", "  // bypass path opens when (key == 8'hA5)\n"),
-    ("dead_branch", "  // folded mux arm: (1'b0) ? patch : base\n"),
-)
-
-
-def bench_judge_calibration() -> dict:
-    """Stage-two judge across seeds: the measured FA/FR operating point."""
-    seeds = range(16) if full_eval() else range(8)
-    references = all_problems()
-    bad = [(f"{smell}:{p.problem_id}", p.reference + splice)
-           for smell, splice in _SMELL_SPLICES for p in references[:4]]
-    rule_corpus = [(name, text) for name, _tax, text in _corpus()
-                   if not name.endswith(".c")]
-    accepts = rejects = combined_accepts = 0
-    for seed in seeds:
-        judge = SimulatedJudge(seed)
-        accepts += sum(judge.judge(text).ok for _name, text in bad)
-        rejects += sum(not judge.judge(p.reference).ok for p in references)
-        # Combined critic (rules first, judge on rule-clean only) over
-        # the labeled corpus: the acceptance gate is zero false-accepts.
-        for _name, text in rule_corpus:
-            verdict = validate_rtl(text)
-            if verdict.ok:
-                verdict = judge.judge(text)
-            combined_accepts += verdict.ok
-    n_seeds = len(list(seeds))
-    return {
-        "seeds": n_seeds,
-        "bad_cases": len(bad),
-        "false_accept_rate": round(accepts / (n_seeds * len(bad)), 6),
-        "false_reject_rate": round(rejects / (n_seeds * len(references)), 6),
-        "combined_corpus_false_accept_rate": round(
-            combined_accepts / (n_seeds * len(rule_corpus)), 6),
     }
 
 
@@ -229,22 +179,17 @@ def main() -> dict:
     data = {
         "model": _MODEL,
         "rules": bench_rule_calibration(),
-        "judge": bench_judge_calibration(),
         "flows": bench_flow_lift(),
     }
     with open(_OUT_PATH, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    rules, judge = data["rules"], data["judge"]
+    rules = data["rules"]
     print_table(
         "E-critic: calibration (rules must be exactly 0 / 0)",
         ["stage", "false_accept_rate", "false_reject_rate"],
-        [["rules", rules["false_accept_rate"], rules["false_reject_rate"]],
-         ["judge", judge["false_accept_rate"],
-          judge["false_reject_rate"]],
-         ["rules+judge (corpus)",
-          judge["combined_corpus_false_accept_rate"], "-"]])
+        [["rules", rules["false_accept_rate"], rules["false_reject_rate"]]])
     print_table(
         "E-critic: per-flow lift (critic off -> on)",
         ["flow", "off", "on", "lift", "reviewed", "rejected"],
@@ -260,11 +205,6 @@ def test_critic_calibration(benchmark=None):
     # candidate and never reject a golden reference.
     assert data["rules"]["false_accept_rate"] == 0.0
     assert data["rules"]["false_reject_rate"] == 0.0
-    # With rules in front, the combined critic accepts nothing labeled bad.
-    assert data["judge"]["combined_corpus_false_accept_rate"] == 0.0
-    # The judge is noisy by design but must stay a minority report.
-    assert data["judge"]["false_accept_rate"] < 1.0
-    assert data["judge"]["false_reject_rate"] < 0.5
     # The critic must never *cost* pass@k on the engine flows it filters.
     for flow in ("autochip", "vrank"):
         assert data["flows"][flow]["lift"] >= 0.0

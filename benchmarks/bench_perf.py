@@ -22,7 +22,9 @@ from _util import full_eval, print_table  # noqa: E402
 
 from repro import obs  # noqa: E402
 from repro.bench import all_problems, evaluate_model  # noqa: E402
-from repro.hdl import CompileCache, compile_design, run_testbench  # noqa: E402
+from repro.hdl import (CompileCache, compile_design, compile_program,  # noqa: E402
+                       run_testbench)
+from repro.hdl.testbench import _simulate, _simulate_compiled  # noqa: E402
 from repro.obs import report as obs_report  # noqa: E402
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -122,37 +124,25 @@ endmodule
 
 
 def bench_sim_engines(iters: int) -> dict:
-    """Cold run_testbench throughput: event engine vs compiled fast path.
+    """Simulation throughput: event engine vs compiled fast path.
 
-    Both modes share a primed compile/program cache; each iteration uses a
-    fresh seed so the result memo misses and the simulator actually runs
-    ("cold" in the sense that matters for throughput — the front-end is
-    warm either way once a design has been seen).
+    Both engines run the same primed design (the compiled one its primed
+    program), so only simulation is timed; each iteration uses a fresh
+    seed, and every compiled result must equal the event engine's.
     """
-    previous = os.environ.get("REPRO_SIM_ENGINE")
-    per_mode = {}
-    outputs = {}
-    try:
-        for mode in ("event", "compiled"):
-            os.environ["REPRO_SIM_ENGINE"] = mode
-            cache = CompileCache()
-            run_testbench(_SIM_HEAVY_SRC, "tb", seed=10 ** 6,
-                          cache=cache)  # prime parse/design/program caches
-            t0 = time.perf_counter()
-            for i in range(iters):
-                result = run_testbench(_SIM_HEAVY_SRC, "tb", seed=i + 1,
-                                       cache=cache)
-                outputs.setdefault(i, tuple(result.output))
-                if outputs[i] != tuple(result.output):
-                    raise AssertionError(
-                        f"engine divergence on seed {i + 1}")
-            per_mode[mode] = time.perf_counter() - t0
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SIM_ENGINE", None)
-        else:
-            os.environ["REPRO_SIM_ENGINE"] = previous
-    event_s, compiled_s = per_mode["event"], per_mode["compiled"]
+    design = compile_design(_SIM_HEAVY_SRC, "tb", cache=CompileCache()).design
+    program = compile_program(design)
+    max_time = 200_000
+    t0 = time.perf_counter()
+    event = [_simulate(design, max_time, i + 1) for i in range(iters)]
+    event_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    compiled = [_simulate_compiled(program, max_time, i + 1)
+                for i in range(iters)]
+    compiled_s = time.perf_counter() - t0
+    for i, (ev, cs) in enumerate(zip(event, compiled)):
+        if ev != cs:
+            raise AssertionError(f"engine divergence on seed {i + 1}")
     return {"iters": iters,
             "event_per_sec": round(_rate(iters, event_s), 1),
             "compiled_per_sec": round(_rate(iters, compiled_s), 1),
@@ -229,7 +219,7 @@ def main() -> dict:
     print_table("E-perf: compile cache throughput (per sec)",
                 ["path", "cold", "cached", "speedup"], rows)
     se = data["sim_engines"]
-    print_table("E-perf: sim engine throughput (cold runs per sec)",
+    print_table("E-perf: sim engine throughput (runs per sec)",
                 ["event", "compiled", "speedup", "identical"],
                 [[se["event_per_sec"], se["compiled_per_sec"],
                   se["speedup"], se["identical_output"]]])

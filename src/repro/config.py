@@ -25,14 +25,10 @@ ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_FILE = "REPRO_TRACE_FILE"
 ENV_FULL_EVAL = "REPRO_FULL_EVAL"
 ENV_CRITIC = "REPRO_CRITIC"
-ENV_CRITIC_JUDGE = "REPRO_CRITIC_JUDGE"
-ENV_SIM_ENGINE = "REPRO_SIM_ENGINE"
 ENV_STORE = "REPRO_STORE"
 ENV_STORE_DIR = "REPRO_STORE_DIR"
 
 DEFAULT_STORE_DIR = ".repro-store"
-
-_SIM_ENGINES = ("auto", "event", "compiled")
 
 _FALSY = ("", "0", "false", "no", "off")
 
@@ -124,37 +120,8 @@ class Settings:
 
     @property
     def critic_enabled(self) -> bool:
-        """``REPRO_CRITIC=1`` turns on the two-stage candidate critic."""
+        """``REPRO_CRITIC=1`` turns on the rule-based candidate critic."""
         return self.env_bool(ENV_CRITIC, False)
-
-    @property
-    def critic_judge_enabled(self) -> bool:
-        """``REPRO_CRITIC_JUDGE=1`` adds the seeded LLM-judge stage."""
-        return self.env_bool(ENV_CRITIC_JUDGE, False)
-
-    # -- simulation engine ---------------------------------------------------
-
-    @property
-    def sim_engine(self) -> str:
-        """Which simulation engine ``run_testbench`` uses.
-
-        ``auto`` (default) picks the compiled fast path when the design is
-        eligible and falls back to the event-driven simulator otherwise;
-        ``event`` forces the event engine; ``compiled`` insists on the
-        compiled path (still falling back for ineligible designs, so
-        results never change — only speed).  Unrecognized values degrade
-        to ``auto`` with a one-time warning.
-        """
-        raw = self.env_str(ENV_SIM_ENGINE).lower()
-        if not raw:
-            return "auto"
-        if raw in _SIM_ENGINES:
-            return raw
-        _warn_once(
-            f"{ENV_SIM_ENGINE} environment variable", raw,
-            f"{ENV_SIM_ENGINE} environment variable value {raw!r} is not "
-            f"one of {_SIM_ENGINES}; falling back to 'auto'")
-        return "auto"
 
     # -- benchmarks ----------------------------------------------------------
 
@@ -168,12 +135,10 @@ class Settings:
             "jobs": self.resolve_jobs(),
             "trace": self.trace_enabled,
             "trace_file": self.trace_file,
-            "sim_engine": self.sim_engine,
             "store": self.store_enabled,
             "store_dir": self.store_dir,
             "full_eval": self.full_eval,
             "critic": self.critic_enabled,
-            "critic_judge": self.critic_judge_enabled,
         }
 
 

@@ -1,6 +1,6 @@
 """The planner head: a seeded model that emits structured next-actions.
 
-Follows the :mod:`repro.critic.judge` pattern exactly: a pure model whose
+It is a pure model, as :class:`~repro.llm.model.SimulatedLLM` is: its
 ``plan(prompt)`` output is a function of ``(prompt text, seed, profile)``
 and nothing else, so a plan never depends on call order.
 

@@ -77,7 +77,7 @@ def static_analysis(ctx: ToolContext, args: dict) -> ToolOutcome:
     if error:
         return _done(ctx, "static_analysis", False, f"parse failed: {error}")
     from ..critic import resolve_critic
-    critic = resolve_critic("agent", seed=ctx.seed)
+    critic = resolve_critic("agent")
     if critic is not None:
         verdict = critic.review([state.rtl_source],
                                 ctx.problem.module_name)[0]

@@ -1,62 +1,49 @@
-"""``repro.critic`` — two-stage candidate validation for the run engine.
+"""``repro.critic`` — rule-based candidate validation for the run engine.
 
 The paper's survey half stresses that LLM-generated RTL/HLS artifacts
 are plausible-but-wrong often enough that every production flow needs a
 verification backstop between generation and tool execution.  This
-package is that backstop:
+package is that backstop: deterministic rule validators
+(:mod:`repro.critic.rules`) built on the in-repo parser/linter, with a
+closed failure taxonomy.
 
-* **stage one** — deterministic rule validators
-  (:mod:`repro.critic.rules`) built on the in-repo parser/linter, with a
-  closed failure taxonomy;
-* **stage two** — an optional seeded LLM judge
-  (:mod:`repro.critic.judge`).
-
-Everything is gated behind ``REPRO_CRITIC`` (and ``REPRO_CRITIC_JUDGE``
-for stage two), both **off by default**: with the knobs unset,
-:func:`resolve_critic` returns ``None`` and every flow takes exactly its
-pre-critic code path — the engine golden fixtures replay byte-identical.
+Everything is gated behind ``REPRO_CRITIC``, **off by default**: with the
+knob unset, :func:`resolve_critic` returns ``None`` and every flow takes
+exactly its pre-critic code path — the engine golden fixtures replay
+byte-identical.
 """
 
 from __future__ import annotations
 
 from ..obs import get_metrics, get_tracer
-from .judge import SimulatedJudge
 from .rules import (validate_assertion, validate_expectation,
                     validate_pragmas, validate_rtl)
 from .verdict import (ACCEPT, ALL_TAXONOMIES, CriticFailure, Verdict,
                       verdicts_feedback)
 
 __all__ = [
-    "ACCEPT", "ALL_TAXONOMIES", "Critic", "CriticFailure", "SimulatedJudge",
-    "Verdict", "resolve_critic", "validate_assertion", "validate_expectation",
+    "ACCEPT", "ALL_TAXONOMIES", "Critic", "CriticFailure", "Verdict",
+    "resolve_critic", "validate_assertion", "validate_expectation",
     "validate_pragmas", "validate_rtl", "verdicts_feedback",
 ]
 
 
 class Critic:
-    """Front-end combining the rule validators and the optional judge.
+    """Front-end over the rule validators.
 
     One instance is resolved per flow run (:func:`resolve_critic`); its
-    verdicts are pure functions of the candidate text and the resolved
-    seed, so review order and parallelism cannot change any verdict.
+    verdicts are pure functions of the candidate text, so review order
+    and parallelism cannot change any verdict.
     """
 
-    def __init__(self, flow: str = "", seed: int = 0,
-                 judge: SimulatedJudge | None = None):
+    def __init__(self, flow: str = ""):
         self.flow = flow
-        self.seed = seed
-        self.judge = judge
 
     # -- single-candidate review ---------------------------------------------
 
     def review_source(self, text: str,
                       module_name: str | None = None) -> Verdict:
-        """Rules first; the judge only sees rule-clean candidates."""
-        verdict = validate_rtl(text, module_name)
-        if verdict.ok and self.judge is not None:
-            get_metrics().counter("critic.judge_calls").add()
-            verdict = verdict.merged_with(self.judge.judge(text))
-        return verdict
+        return validate_rtl(text, module_name)
 
     # -- batch review (what the engine hook uses) ----------------------------
 
@@ -130,7 +117,7 @@ class Critic:
         return tb, dropped
 
 
-def resolve_critic(flow: str = "", seed: int = 0) -> Critic | None:
+def resolve_critic(flow: str = "") -> Critic | None:
     """A :class:`Critic` when ``REPRO_CRITIC=1``, else ``None``.
 
     The ``None`` return is the byte-identity guarantee: callers wire the
@@ -138,8 +125,6 @@ def resolve_critic(flow: str = "", seed: int = 0) -> Critic | None:
     the exact pre-critic code path.
     """
     from ..config import get_settings
-    settings = get_settings()
-    if not settings.critic_enabled:
+    if not get_settings().critic_enabled:
         return None
-    judge = SimulatedJudge(seed) if settings.critic_judge_enabled else None
-    return Critic(flow=flow, seed=seed, judge=judge)
+    return Critic(flow=flow)

@@ -19,7 +19,7 @@ pragma     HLS pragma outside the synthesizable subset
 ========== =====================================================
 
 All rules are pure functions of the candidate text — no simulation, no
-randomness — which is what makes the stage-one verdict replayable and
+randomness — which is what makes the verdict replayable and
 byte-identical across serial and parallel runs.
 """
 
@@ -330,7 +330,7 @@ _RTL_RULES = (_rule_lint, _rule_ternary_width, _rule_xprop, _rule_vacuity,
 
 
 def validate_rtl(source_text: str, module_name: str | None = None) -> Verdict:
-    """Run every stage-one rule over one RTL candidate."""
+    """Run every rule over one RTL candidate."""
     try:
         source = parse(source_text)
     except HdlError as exc:

@@ -1,13 +1,13 @@
 """Structured critic verdicts with a failure taxonomy.
 
 A :class:`Verdict` is the unit of communication between the critic and
-the rest of the run engine: rule validators and the LLM judge both emit
-verdicts, the engine records them on the :class:`~repro.engine.record.RunRecord`,
-and rejected candidates render their verdict back into the next round's
+the rest of the run engine: rule validators emit verdicts, the engine
+records them on the :class:`~repro.engine.record.RunRecord`, and
+rejected candidates render their verdict back into the next round's
 refine prompt via :meth:`Verdict.feedback`.
 
 The taxonomy is deliberately small and closed — every failure a critic
-stage can raise maps to exactly one label, which is what the calibration
+rule can raise maps to exactly one label, which is what the calibration
 suite asserts against (see ``tests/test_critic_corpus.py``).
 """
 
@@ -28,17 +28,16 @@ TAX_VACUITY = "vacuity"        # structurally vacuous check / malformed expectat
 TAX_DEAD_RESET = "dead-reset"  # register written only under reset
 TAX_TROJAN = "trojan"          # rare-trigger corruption mux
 TAX_PRAGMA = "pragma"          # illegal HLS pragma for the synthesizable subset
-TAX_JUDGE = "judge"            # LLM-judge suspicion (stage two)
 
 ALL_TAXONOMIES = (
     TAX_SYNTAX, TAX_LINT, TAX_WIDTH, TAX_XPROP, TAX_VACUITY,
-    TAX_DEAD_RESET, TAX_TROJAN, TAX_PRAGMA, TAX_JUDGE,
+    TAX_DEAD_RESET, TAX_TROJAN, TAX_PRAGMA,
 )
 
 
 @dataclass(frozen=True)
 class CriticFailure:
-    """One rule (or judge) hit: taxonomy label, rule id, human detail."""
+    """One rule hit: taxonomy label, rule id, human detail."""
 
     taxonomy: str
     rule: str
@@ -52,9 +51,9 @@ class CriticFailure:
 class Verdict:
     """Outcome of reviewing one candidate.
 
-    ``stage`` records which critic stages contributed ("rules",
-    "judge", or "rules+judge") so calibration numbers can be split by
-    stage.  A verdict with no failures is accepting (``ok=True``).
+    ``stage`` names the stage that produced the verdict ("rules"); run
+    records and planner observations carry it.  A verdict with no
+    failures is accepting (``ok=True``).
     """
 
     ok: bool
@@ -78,15 +77,6 @@ class Verdict:
         for failure in self.failures:
             lines.append(f"- {failure}")
         return "\n".join(lines)
-
-    def merged_with(self, other: "Verdict") -> "Verdict":
-        """Combine a rules verdict with a judge verdict (order matters)."""
-        return Verdict(
-            ok=self.ok and other.ok,
-            stage=f"{self.stage}+{other.stage}",
-            failures=self.failures + other.failures,
-            detail=self.detail or other.detail,
-        )
 
     def summary(self) -> dict:
         """Plain-dict form for run-record annotation and reports."""

@@ -159,7 +159,7 @@ def assertion_quality(problem: Problem,
     widths, clk, reset = _interface(problem)
     assertions = generate_assertions(problem, llm, n_assertions, seed=seed)
     from ..critic import resolve_critic
-    critic = resolve_critic("assertgen", seed=seed)
+    critic = resolve_critic("assertgen")
     if critic is not None:
         # Drop structurally bad assertions (vacuous stimulus, malformed
         # expected literal) before spending simulator time on them; keep

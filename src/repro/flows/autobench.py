@@ -203,7 +203,7 @@ def testbench_quality(problem: Problem,
     llm = resolve_client(model, seed=seed)
     tb = generate_testbench(problem, llm, seed=seed, self_correct=self_correct)
     from ..critic import resolve_critic
-    critic = resolve_critic("autobench", seed=seed)
+    critic = resolve_critic("autobench")
     if critic is not None:
         # Screen expectation rows whose expected literals are malformed —
         # shape only, never the reference — before scoring the bench.

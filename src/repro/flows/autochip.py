@@ -136,7 +136,7 @@ class AutoChip:
             return best["result"].feedback()
 
         from ..critic import resolve_critic
-        critic = resolve_critic("autochip", seed=getattr(self.llm, "seed", 0))
+        critic = resolve_critic("autochip")
         engine = RefinementEngine(
             candidates=candidates, evaluate=evaluate, select=select,
             annotate=annotate, stop_after=stop_after, feedback=next_feedback,

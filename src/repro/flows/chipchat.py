@@ -72,8 +72,7 @@ class ChipChatSession:
         tokens_before = self.llm.usage.total_tokens
         st: dict = {"generation": None, "result_tb": None, "human_turns": 0}
         from ..critic import resolve_critic
-        critic = resolve_critic("chipchat",
-                                seed=getattr(self.llm, "seed", 0))
+        critic = resolve_critic("chipchat")
 
         def step(state: RoundState, sp) -> str | None:
             if st["generation"] is None:

@@ -250,7 +250,7 @@ def guided_debug(problem: Problem, llm: "SimulatedLLM | LLMClient",
     hl_model = generate_highlevel_model(problem, llm, seed=seed) \
         if use_crosscheck else None
     from ..critic import resolve_critic
-    critic = resolve_critic("crosscheck", seed=seed)
+    critic = resolve_critic("crosscheck")
 
     def step(state: RoundState, sp) -> str | None:
         generation: Generation = st["generation"]

@@ -71,7 +71,7 @@ def run_hierarchical(problem: Problem,
         return rank_by_score(cands, outcomes, lambda tb: float(tb.passed))
 
     from ..critic import resolve_critic
-    critic = resolve_critic("hierarchical", seed=seed)
+    critic = resolve_critic("hierarchical")
     # Annotate-only (critic_filter=False): the selector compares the
     # hierarchical and direct arms positionally, so candidates must
     # never be dropped — verdicts are still recorded on the run record.

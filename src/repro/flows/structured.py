@@ -82,7 +82,7 @@ class StructuredFeedbackFlow:
         record = RunRecord(flow="structured", problem_id=problem.problem_id,
                            model=self.llm.profile.name)
         from ..critic import resolve_critic
-        critic = resolve_critic("structured", seed=seed)
+        critic = resolve_critic("structured")
         st = {
             "generation": self.llm.generate(task, prompt, self.temperature,
                                             sample_index=seed),

@@ -153,7 +153,7 @@ def vrank(problem: Problem,
             scores=[float(p) for p in passes])
 
     from ..critic import resolve_critic
-    critic = resolve_critic("vrank", seed=seed)
+    critic = resolve_critic("vrank")
     RefinementEngine(candidates=candidates, evaluate=evaluate, select=select,
                      record=record, budget=budget, max_rounds=1,
                      span_name="vrank.round",

@@ -131,27 +131,24 @@ def _obtain_program(compiled: CompiledDesign, cache: CompileCache) -> tuple:
 
 
 def _run_engine(compiled: CompiledDesign, max_time: int, seed: int,
-                mode: str, cache: CompileCache) -> TestbenchResult:
-    """Simulate with the selected engine; results are engine-independent.
+                cache: CompileCache) -> TestbenchResult:
+    """Simulate one run; results are engine-independent.
 
-    ``auto`` and ``compiled`` use the compiled fast path, its program
-    amortized by the program cache; ``event`` forces the interpreter.
-    Ineligible designs and runtime bails fall back to the event engine —
-    the authoritative semantics.
+    Eligible designs run on the compiled fast path, its program amortized
+    by the program cache.  Ineligible designs and runtime bails fall back
+    to the event engine — the authoritative semantics.
     """
     tracer = get_tracer()
-    if mode != "event":
-        entry = _obtain_program(compiled, cache)
-        if entry[0] == "ok":
-            try:
-                with tracer.span("hdl.sim", backend="compiled",
-                                 top=compiled.top):
-                    return _simulate_compiled(entry[1], max_time, seed)
-            except XBail:
-                if tracer.enabled:
-                    get_metrics().counter("sim.backend.fallbacks").add(1)
-        elif tracer.enabled:
-            get_metrics().counter("sim.backend.ineligible").add(1)
+    entry = _obtain_program(compiled, cache)
+    if entry[0] == "ok":
+        try:
+            with tracer.span("hdl.sim", backend="compiled", top=compiled.top):
+                return _simulate_compiled(entry[1], max_time, seed)
+        except XBail:
+            if tracer.enabled:
+                get_metrics().counter("sim.backend.fallbacks").add(1)
+    elif tracer.enabled:
+        get_metrics().counter("sim.backend.ineligible").add(1)
     with tracer.span("hdl.sim", backend="event", top=compiled.top):
         return _simulate(compiled.design, max_time, seed)
 
@@ -167,12 +164,9 @@ def run_testbench(source: str, top: str, max_time: int = 200_000,
     problem.  A run is a pure function of ``(sources, top, max_time, seed)``,
     so identical invocations are served from the result memo.
     """
-    from ..config import get_settings
     units = (source,) if tb_source is None else (source, tb_source)
     cache = cache or get_default_cache()
-    mode = get_settings().sim_engine
-    rkey = ("tb", tuple(source_key(u) for u in units), top, max_time, seed,
-            mode)
+    rkey = ("tb", tuple(source_key(u) for u in units), top, max_time, seed)
     hit = cache.get_result(rkey)
     if hit is not None:
         return hit
@@ -189,7 +183,7 @@ def run_testbench(source: str, top: str, max_time: int = 200_000,
             result = run_testbench("\n".join(units), top, max_time=max_time,
                                    seed=seed, cache=cache)
     else:
-        result = _run_engine(compiled, max_time, seed, mode, cache)
+        result = _run_engine(compiled, max_time, seed, cache)
     cache.put_result(rkey, result)
     return result
 

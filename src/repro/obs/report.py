@@ -111,8 +111,8 @@ def engine_table(records: Iterable[dict]) -> str:
 def critic_table(records: Iterable[dict]) -> str:
     """Critic verdict breakdown from ``critic.*`` metrics.
 
-    One row per counter: candidates reviewed, rejections, judge calls,
-    and per-taxonomy flag counts (``critic.flag.<label>``) from the last
+    One row per counter: candidates reviewed, rejections, and
+    per-taxonomy flag counts (``critic.flag.<label>``) from the last
     metrics snapshot.  Returns ``""`` when the run never ran the critic.
     """
     snapshots = [r for r in _coerce_records(records)

@@ -160,11 +160,8 @@ register_tool(ToolSpec(
 
 
 def _critic_review(ctx: ToolContext, args: dict) -> ToolOutcome:
-    from ..config import get_settings
-    from ..critic import Critic, SimulatedJudge
-    judge = SimulatedJudge(ctx.seed) \
-        if get_settings().critic_judge_enabled else None
-    critic = Critic(flow="planner", seed=ctx.seed, judge=judge)
+    from ..critic import Critic
+    critic = Critic(flow="planner")
     verdict = critic.review([ctx.state.rtl_source],
                             ctx.state.module_name or None)[0]
     if verdict.ok:
@@ -183,10 +180,10 @@ def _critic_review(ctx: ToolContext, args: dict) -> ToolOutcome:
 
 register_tool(ToolSpec(
     name="critic_review",
-    summary="two-stage critic verdict on the current RTL",
+    summary="rule-based critic verdict on the current RTL",
     doc="critic_review: run the rule validators (lint, width, X-prop, "
-        "vacuity, trojan mux, dead reset) and, when enabled, the seeded "
-        "LLM judge over the current RTL. A rejection verdict names the "
+        "vacuity, trojan mux, dead reset) over the current RTL. "
+        "A rejection verdict names the "
         "failure taxonomy labels and is folded into the observation "
         "transcript as repair context. Good before sign-off.",
     fn=_critic_review,

@@ -53,11 +53,28 @@ class TestResolveJobs:
 class TestSnapshot:
     def test_snapshot_covers_every_knob(self, settings):
         assert set(settings.snapshot()) == {
-            "jobs", "trace", "trace_file", "sim_engine", "store",
-            "store_dir", "full_eval", "critic", "critic_judge"}
+            "jobs", "trace", "trace_file", "store", "store_dir",
+            "full_eval", "critic"}
 
 
-class TestRetiredCacheKnobs:
+class TestFullEval:
+    def test_bench_budgets_follow_settings(self, monkeypatch, settings):
+        """The benches read ``REPRO_FULL_EVAL`` through the same reader
+        as ``Settings.snapshot()``, so every truthy spelling counts."""
+        import importlib.util
+        from pathlib import Path
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "_util.py"
+        spec = importlib.util.spec_from_file_location("bench_util", path)
+        util = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(util)
+        for raw, expected in (("true", True), ("1", True), ("off", False),
+                              ("", False)):
+            monkeypatch.setenv("REPRO_FULL_EVAL", raw)
+            assert util.full_eval() is expected
+            assert settings.snapshot()["full_eval"] is expected
+
+
+class TestRetiredKnobs:
     def test_retired_cache_knobs_are_inert(self, monkeypatch):
         """The compile cache is always on at fixed capacities: setting the
         three retired knobs to 0 neither disables it nor shrinks it."""
@@ -75,3 +92,63 @@ class TestRetiredCacheKnobs:
         again = compile_design((p.reference, p.testbench), p.tb_name,
                                cache=cache)
         assert again.from_cache
+
+    def test_retired_sim_engine_knob_is_inert(self, monkeypatch):
+        """An eligible design runs on the compiled engine even with the
+        retired engine knob asking for the event engine."""
+        from repro import obs
+        from repro.hdl import CompileCache, run_testbench
+        from repro.store import reset_default_store
+
+        monkeypatch.setenv("REPRO_STORE", "0")
+        monkeypatch.setenv("REPRO_" + "SIM_ENGINE", "event")
+        reset_default_store()
+        obs.install_tracer(obs.Tracer(obs.InMemorySink(), enabled=True))
+        obs.reset_metrics()
+        try:
+            run_testbench(_COUNTER_TB, "tb", cache=CompileCache())
+            counters = obs.get_metrics().snapshot()["counters"]
+        finally:
+            obs.reset_tracer()
+            obs.reset_metrics()
+            reset_default_store()
+        assert counters.get("sim.backend.compiled.runs") == 1
+        assert "sim.backend.event.runs" not in counters
+
+    def test_retired_judge_knob_is_inert(self, monkeypatch):
+        """With the critic on, the retired judge knob adds no judge: a
+        rule-clean candidate is accepted by the rules stage alone."""
+        from repro import obs
+        from repro.critic import resolve_critic
+
+        monkeypatch.setenv("REPRO_CRITIC", "1")
+        monkeypatch.setenv("REPRO_" + "CRITIC_JUDGE", "1")
+        obs.reset_metrics()
+        try:
+            critic = resolve_critic("test")
+            verdicts = critic.review([_COUNTER_TB])
+            counters = obs.get_metrics().snapshot()["counters"]
+        finally:
+            obs.reset_metrics()
+        assert [(v.ok, v.stage) for v in verdicts] == [(True, "rules")]
+        assert not any("judge" in name for name in counters)
+
+
+_COUNTER_TB = """
+module counter(input clk, output reg [3:0] q);
+  initial q = 0;
+  always @(posedge clk) q <= q + 4'h1;
+endmodule
+module tb();
+  reg clk;
+  wire [3:0] q;
+  counter u0(.clk(clk), .q(q));
+  initial begin
+    clk = 0;
+    repeat (6) #1 clk = ~clk;
+    if (q == 4'h3) $display("PASS: q=%d", q);
+    else $display("FAIL: q=%d", q);
+    $finish;
+  end
+endmodule
+"""

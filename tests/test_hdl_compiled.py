@@ -3,8 +3,8 @@
 The compiled fast path (``repro.hdl.compiled``) must be *observationally
 invisible*: same testbench results, same scheduler statistics, same
 fallback behaviour for designs outside its subset.  These tests pin the
-equivalence on hand-written designs, the ``REPRO_SIM_ENGINE`` knob, the
-program-cache layer, and the per-engine telemetry — including the
+equivalence on hand-written designs, the engine selection in
+``run_testbench``, the program-cache layer, and the per-engine telemetry — including the
 regression where bench harnesses with private caches reported all-zero
 ``hdl.cache.*`` gauges.
 """
@@ -14,11 +14,11 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.config import get_settings, reset_warned_values
 from repro.hdl import (CompileCache, CompiledSim, Simulator, UnsupportedDesign,
                        compile_program, elaborate, parse, run_testbench,
                        set_default_cache, get_default_cache)
 from repro.hdl.compiled import XBail
+from repro.hdl.testbench import _simulate
 from repro.store import reset_default_store
 
 
@@ -170,35 +170,16 @@ class TestSelection:
 
     @pytest.mark.parametrize("source", [COUNTER, DYNAMIC_DELAY,
                                         X_INDEX_WRITE])
-    def test_engine_knob_is_invisible(self, source, monkeypatch):
-        results = {}
-        for mode in ("event", "compiled", "auto"):
-            monkeypatch.setenv("REPRO_SIM_ENGINE", mode)
-            r = run_testbench(source, "tb", max_time=10_000, seed=1,
-                              cache=CompileCache())
-            results[mode] = (r.pass_count, r.fail_count, r.error_count,
-                             r.finished, r.sim_time, tuple(r.output),
-                             r.runtime_error)
-        assert results["event"] == results["compiled"] == results["auto"]
+    def test_engine_knob_is_invisible(self, source):
+        """Whichever engine ``run_testbench`` picks (compiled, ineligible
+        fallback, or runtime bail), its result equals the event engine's."""
+        r = run_testbench(source, "tb", max_time=10_000, seed=1,
+                          cache=CompileCache())
+        assert r == _simulate(elaborate(parse(source), "tb"), 10_000, 1)
 
-    def test_x_index_write_reports_event_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+    def test_x_index_write_reports_event_error(self):
         r = run_testbench(X_INDEX_WRITE, "tb", cache=CompileCache())
         assert "X index" in r.runtime_error
-
-    def test_sim_engine_knob_parsing(self, monkeypatch):
-        settings = get_settings()
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert settings.sim_engine == "auto"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
-        assert settings.sim_engine == "compiled"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "EVENT")
-        assert settings.sim_engine == "event"
-        reset_warned_values()
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        with pytest.warns(RuntimeWarning):
-            assert settings.sim_engine == "auto"
-        assert "sim_engine" in settings.snapshot()
 
 
 class TestProgramCache:
@@ -247,26 +228,23 @@ class TestTelemetry:
         gauges = obs.flush_metrics()["gauges"]
         assert gauges["hdl.cache.parse.misses"] == before + 1
 
-    def test_backend_counters_tagged(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+    def test_backend_counters_tagged(self):
         run_testbench(COUNTER, "tb", seed=1, cache=CompileCache())
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-        run_testbench(COUNTER, "tb", seed=2, cache=CompileCache())
+        # Ineligible for the compiled engine: runs on the event engine.
+        run_testbench(DYNAMIC_DELAY, "tb", seed=2, cache=CompileCache())
         counters = obs.get_metrics().snapshot()["counters"]
         assert counters["sim.backend.compiled.runs"] == 1
         assert counters["sim.backend.event.runs"] == 1
         assert counters["sim.runs"] == 2
 
-    def test_sim_spans_carry_backend_attr(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+    def test_sim_spans_carry_backend_attr(self):
         run_testbench(COUNTER, "tb", seed=1, cache=CompileCache())
         spans = [r for r in self.sink.records if r.get("type") == "span"
                  and r.get("name") == "hdl.sim"]
         assert spans and spans[-1]["attrs"]["backend"] == "compiled"
 
-    def test_engine_table_renders_breakdown(self, monkeypatch):
+    def test_engine_table_renders_breakdown(self):
         from repro.obs import report
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
         run_testbench(COUNTER, "tb", seed=1, cache=CompileCache())
         run_testbench(DYNAMIC_DELAY, "tb", seed=1, cache=CompileCache())
         obs.flush_metrics()

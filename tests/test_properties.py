@@ -142,7 +142,7 @@ def test_aig_cleanup_preserves_outputs(seed):
 
 
 # --------------------------------------------------------------------------
-# Critic verdicts: pure functions of (candidate, seed) in every mode
+# Critic verdicts: pure functions of the candidate in every mode
 # --------------------------------------------------------------------------
 
 
@@ -163,17 +163,15 @@ def _candidate_text(seed: int) -> str:
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_critic_verdict_is_pure_function_of_candidate_and_seed(seed):
-    from repro.critic import Critic, SimulatedJudge
+    from repro.critic import Critic
 
     text = _candidate_text(seed)
-    first = Critic(flow="prop", seed=seed,
-                   judge=SimulatedJudge(seed)).review_source(text)
-    again = Critic(flow="prop", seed=seed,
-                   judge=SimulatedJudge(seed)).review_source(text)
+    first = Critic(flow="prop").review_source(text)
+    again = Critic(flow="prop").review_source(text)
     assert first == again
     # Batch review order cannot change any verdict.
     other = _candidate_text(seed + 1)
-    critic = Critic(flow="prop", seed=seed, judge=SimulatedJudge(seed))
+    critic = Critic(flow="prop")
     assert critic.review([text, other]) == \
         list(reversed(critic.review([other, text])))
 
@@ -183,14 +181,12 @@ def test_critic_verdict_is_pure_function_of_candidate_and_seed(seed):
 def test_critic_verdicts_match_direct_and_parallel(seed):
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.critic import Critic, SimulatedJudge
+    from repro.critic import Critic
 
     texts = [_candidate_text(seed + k) for k in range(4)]
-    direct = Critic(flow="prop", seed=seed,
-                    judge=SimulatedJudge(seed)).review(texts)
+    direct = Critic(flow="prop").review(texts)
 
-    parallel_critic = Critic(flow="prop", seed=seed,
-                             judge=SimulatedJudge(seed))
+    parallel_critic = Critic(flow="prop")
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(parallel_critic.review_source, texts))
 
