@@ -6,8 +6,8 @@ Every entry point (``python -m repro.fuzz`` / ``repro.flows`` /
 * bad input exits with status **2** and a one-line message on stderr —
   never a raw traceback;
 * ``--seed`` means the same thing everywhere (the campaign/sweep seed);
-* ``--store [DIR]`` enables the persistent artifact store for the run
-  (equivalent to ``REPRO_STORE=1`` plus ``REPRO_STORE_DIR=DIR``), and
+* ``--store [DIR]`` journals the campaign's completed cells to a
+  checkpoint store at ``DIR`` (default ``.repro-store``), and
   ``--resume`` replays a prior campaign's journaled cells from it.
 
 This module factors those conventions so the CLIs cannot drift apart;
@@ -20,7 +20,10 @@ import argparse
 import os
 import sys
 
-from .config import ENV_STORE, ENV_STORE_DIR, get_settings
+from .config import get_settings
+
+#: Checkpoint directory of a bare ``--store``.
+DEFAULT_STORE_DIR = ".repro-store"
 
 
 def build_parser(prog: str, description: str) -> argparse.ArgumentParser:
@@ -41,44 +44,38 @@ def add_store_arguments(parser: argparse.ArgumentParser,
     """Add ``--store [DIR]`` (and ``--resume``) to a campaign CLI."""
     parser.add_argument(
         "--store", nargs="?", const="", default=None, metavar="DIR",
-        help="persist cache artifacts and campaign checkpoints to the "
-             "content-addressed store at DIR (default: REPRO_STORE_DIR "
-             "or .repro-store); equivalent to REPRO_STORE=1")
+        help="journal completed campaign cells to the checkpoint store "
+             f"at DIR (default: {DEFAULT_STORE_DIR})")
     if resume:
         parser.add_argument(
             "--resume", action="store_true",
             help="replay cells journaled by a prior interrupted run of "
-                 "the same campaign from the store (requires --store or "
-                 "REPRO_STORE=1)")
+                 "the same campaign from the store (requires --store)")
 
 
 def activate_store(args: argparse.Namespace):
-    """Resolve the ``--store``/``--resume`` flags into a live store.
+    """Resolve the ``--store``/``--resume`` flags into a checkpoint store.
 
-    Returns the process-wide :class:`repro.store.DiskStore` (or ``None``
-    when persistence stays off).  Exits 2 — via :func:`fail` semantics —
-    when ``--resume`` is requested without an active store.
+    Returns a :class:`repro.store.DiskStore` at ``DIR`` when ``--store``
+    was passed, else ``None``.  Raises :class:`CliError` when ``--resume``
+    comes without ``--store`` or the directory is not writable.
     """
-    from .store import get_default_store, reset_default_store
+    from .store import DiskStore
     store_arg = getattr(args, "store", None)
-    if store_arg is not None:
-        os.environ[ENV_STORE] = "1"
-        if store_arg:
-            os.environ[ENV_STORE_DIR] = store_arg
-        reset_default_store()
-    store = get_default_store()
-    if getattr(args, "resume", False) and store is None:
-        raise CliError("--resume requires an active artifact store "
-                       "(pass --store [DIR] or set REPRO_STORE=1)")
-    if store_arg is not None and store is not None:
+    if store_arg is None:
+        if getattr(args, "resume", False):
+            raise CliError("--resume requires an active artifact store "
+                           "(pass --store [DIR])")
+        return None
+    root = store_arg or DEFAULT_STORE_DIR
+    try:
+        store = DiskStore(root)
         probe = os.path.join(store.root, ".writable")
-        try:
-            with open(probe, "w", encoding="utf-8"):
-                pass
-            os.unlink(probe)
-        except OSError as exc:
-            raise CliError(
-                f"store directory '{store.root}' is not writable: {exc}")
+        with open(probe, "w", encoding="utf-8"):
+            pass
+        os.unlink(probe)
+    except OSError as exc:
+        raise CliError(f"store directory '{root}' is not writable: {exc}")
     return store
 
 

@@ -11,7 +11,7 @@ handling.  :class:`Settings` centralizes the parsing with three rules:
   **one-time** ``RuntimeWarning`` naming the bad value and its source (the
   behaviour ``REPRO_JOBS`` pioneered, now uniform across all knobs);
 * boolean knobs share one falsy set (``"", 0, false, no, off`` — case
-  insensitive) so ``REPRO_TRACE=off`` and ``REPRO_STORE=off`` mean what
+  insensitive) so ``REPRO_TRACE=off`` and ``REPRO_CRITIC=off`` mean what
   they say.
 """
 
@@ -25,10 +25,6 @@ ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_FILE = "REPRO_TRACE_FILE"
 ENV_FULL_EVAL = "REPRO_FULL_EVAL"
 ENV_CRITIC = "REPRO_CRITIC"
-ENV_STORE = "REPRO_STORE"
-ENV_STORE_DIR = "REPRO_STORE_DIR"
-
-DEFAULT_STORE_DIR = ".repro-store"
 
 _FALSY = ("", "0", "false", "no", "off")
 
@@ -93,19 +89,6 @@ class Settings:
             return max(1, os.cpu_count() or 1)
         return max(1, jobs)
 
-    # -- artifact store ------------------------------------------------------
-
-    @property
-    def store_enabled(self) -> bool:
-        """``REPRO_STORE=1`` persists cache artifacts and campaign
-        checkpoints to disk (``REPRO_STORE_DIR``), shared across
-        processes; off (the default) keeps every cache memory-only."""
-        return self.env_bool(ENV_STORE, False)
-
-    @property
-    def store_dir(self) -> str:
-        return self.env_str(ENV_STORE_DIR) or DEFAULT_STORE_DIR
-
     # -- observability -------------------------------------------------------
 
     @property
@@ -135,8 +118,6 @@ class Settings:
             "jobs": self.resolve_jobs(),
             "trace": self.trace_enabled,
             "trace_file": self.trace_file,
-            "store": self.store_enabled,
-            "store_dir": self.store_dir,
             "full_eval": self.full_eval,
             "critic": self.critic_enabled,
         }

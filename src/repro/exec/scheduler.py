@@ -18,7 +18,7 @@ through the usual chain (argument > ``REPRO_JOBS`` > serial), and the
 serial default *is* the plain loop.
 
 Checkpointing: when a :func:`repro.store.campaign_scope` is active, the
-scheduler journals every completed cell to the artifact store as it lands
+scheduler journals every completed cell to the checkpoint store as it lands
 and — on a ``--resume`` run — replays the journaled prefix instead of
 recomputing it.  A cell's checkpoint key mixes the campaign fingerprint,
 the task function, the cell index and the cell's content hash, so a

@@ -16,7 +16,7 @@ the rest.  ``FlowSpec.run`` keeps the ergonomic keyword signature and
 builds the request; ``FlowSpec.launch`` takes a prebuilt request.  When
 the request carries a ``store`` journal, the whole launch runs inside
 :func:`repro.store.campaign_scope`, so every sweep the flow schedules
-checkpoints its cells to the artifact store (and replays them on resume).
+journals its cells to the store (and replays them on resume).
 """
 
 from __future__ import annotations

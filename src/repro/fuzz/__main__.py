@@ -8,6 +8,11 @@ Examples::
     python -m repro.fuzz --seed 4 --show 17            # print its sources
     python -m repro.fuzz --budget 500 --store --resume # resume a campaign
 
+``--store [DIR]`` journals every finished case to a checkpoint store
+(default ``.repro-store``); ``--resume`` replays the journaled cases of
+the same campaign (seed, config, oracles, shrink) instead of re-running
+them, so a resumed or extended campaign prints what a fresh one would.
+
 Exit status: 0 when every oracle agreed on every case, 1 when any
 divergence was found (shrunk findings are written to the corpus
 directory), 2 on usage errors.
@@ -124,6 +129,9 @@ def main(argv: list[str] | None = None) -> int:
         progress=progress, journal=journal)
 
     print(json.dumps(result.summary(), indent=2))
+    if journal is not None and args.resume:
+        print(f"[fuzz] resume: {journal.restored} cases restored from the "
+              f"journal, {journal.written} run", file=sys.stderr)
     if not result.ok:
         for finding in result.findings:
             where = finding.corpus_path or "<not written>"

@@ -128,7 +128,7 @@ def run_campaign(budget: int, seed: int,
     ``corpus_dir=None`` disables writing finding files (used by tests);
     ``progress`` is an optional callable ``(index, n_findings)`` invoked
     after every case.  A ``journal`` checkpoints each completed case to
-    the artifact store; with its ``resume`` flag set, journaled cases are
+    the checkpoint store; with its ``resume`` flag set, journaled cases are
     replayed instead of re-run (byte-identical by construction — the
     checkpoint is the pickled outcome of the same pure case function).
     """

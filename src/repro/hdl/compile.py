@@ -25,11 +25,9 @@ Each layer is one bounded :class:`~repro.store.LruCache` of *live* objects
 object that was stored, so what the cache returns is shared and no caller
 may mutate it (``TestbenchResult`` is frozen; ``SourceFile``, ``Design``
 and ``CompiledProgram`` are read-only by contract, pinned by
-``tests/test_compile_cache.py``).  When ``REPRO_STORE=1`` the process-wide
-:class:`~repro.store.DiskStore` sits behind every layer: a memory miss
-reads it (a disk hit is promoted into the LRU) and a store writes
-through, so a second process starts warm from the first one's artifacts.
-Pickling happens only there, on the way to and from disk.
+``tests/test_compile_cache.py``).  Nothing is pickled and nothing
+outlives the process: the campaign journal (:mod:`repro.store`) is the
+only path by which finished work crosses processes.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import Sequence
 
 from . import ast as A
 from ..obs import get_tracer
-from ..store import CacheStats, LruCache, content_key, get_default_store
+from ..store import CacheStats, LruCache
 from .elaborate import Design, elaborate
 from .parser import parse
 
@@ -98,9 +96,7 @@ class CompiledDesign:
 class CompileCache:
     """Four-layer compile cache: parse, link+elaborate, programs, results.
 
-    Each layer is an LRU of live objects.  The process-wide
-    :class:`~repro.store.DiskStore` is resolved live on every memory miss
-    and every store (``REPRO_STORE`` flips take effect on the next lookup).
+    Each layer is an LRU of live objects.
     """
 
     def __init__(self, parse_capacity: int | None = None,
@@ -115,32 +111,15 @@ class CompileCache:
         self._layers = {layer: LruCache(capacities[layer], _CUMULATIVE[layer])
                         for layer in LAYERS}
 
-    def _get(self, layer: str, key: object) -> object | None:
-        value = self._layers[layer].get(key)
-        if value is None:
-            store = get_default_store()
-            if store is not None:
-                value = store.load(layer, _disk_key(key))
-                if value is not None:
-                    # Promote: later lookups in this process stay off disk.
-                    self._layers[layer].put(key, value)
-        return value
-
-    def _put(self, layer: str, key: object, value: object) -> None:
-        self._layers[layer].put(key, value)
-        store = get_default_store()
-        if store is not None:
-            store.save(layer, _disk_key(key), value)
-
     # -- parse layer --------------------------------------------------------
 
     def parse(self, source: str) -> CompiledSource:
         """Parse one unit, served from the parse layer when possible."""
         key = source_key(source)
-        sf = self._get("parse", key)
+        sf = self._layers["parse"].get(key)
         if sf is None:
             sf = parse(source)
-            self._put("parse", key, sf)
+            self._layers["parse"].put(key, sf)
         return CompiledSource(key, sf)
 
     # -- link + elaborate layer --------------------------------------------
@@ -163,7 +142,7 @@ class CompileCache:
         unit_list = [sources] if isinstance(sources, str) else list(sources)
         keys = tuple(source_key(s) for s in unit_list)
         dkey = (keys, top)
-        design = self._get("design", dkey)
+        design = self._layers["design"].get(dkey)
         if design is not None:
             return CompiledDesign(dkey, top, design, from_cache=True,
                                   units=keys)
@@ -171,7 +150,7 @@ class CompileCache:
         for unit in unit_list:
             merged.modules.update(self.parse(unit).source_file.modules)
         design = elaborate(merged, top)
-        self._put("design", dkey, design)
+        self._layers["design"].put(dkey, design)
         return CompiledDesign(dkey, top, design, from_cache=False, units=keys)
 
     # -- compiled-program layer ---------------------------------------------
@@ -183,24 +162,24 @@ class CompileCache:
         negative results are cached too, so an unsupported design is
         analysed once — or ``None`` on a miss.
         """
-        return self._get("program", design_key)
+        return self._layers["program"].get(design_key)
 
     def put_program(self, design_key: tuple, entry: tuple) -> None:
         """Store a ``("ok", program)`` / ``("ineligible", reason)`` entry."""
-        self._put("program", design_key, entry)
+        self._layers["program"].put(design_key, entry)
 
     # -- result memo --------------------------------------------------------
 
     def get_result(self, key: tuple) -> object | None:
-        return self._get("result", key)
+        return self._layers["result"].get(key)
 
     def put_result(self, key: tuple, result: object) -> None:
-        self._put("result", key, result)
+        self._layers["result"].put(key, result)
 
     # -- management ---------------------------------------------------------
 
     def stats(self) -> dict[str, CacheStats]:
-        """This instance's memory-tier counters per layer."""
+        """This instance's counters per layer."""
         return {layer: lru.stats for layer, lru in self._layers.items()}
 
     def stats_dict(self) -> dict[str, dict[str, float]]:
@@ -208,14 +187,9 @@ class CompileCache:
                 for layer, lru in self._layers.items()}
 
     def clear(self) -> None:
-        """Drop the memory tier; persisted artifacts survive."""
+        """Drop every layer's entries (the counters survive)."""
         for lru in self._layers.values():
             lru.clear()
-
-
-def _disk_key(key: object) -> str:
-    # Parse keys are already digests; structured keys hash to one.
-    return key if isinstance(key, str) else content_key(key)
 
 
 _default_cache = CompileCache()

@@ -64,16 +64,12 @@ def flush_metrics(tracer: Tracer | None = None) -> dict | None:
     if not tracer.enabled:
         return None
     snapshot = get_metrics().snapshot()
-    # Lazy imports: avoid an import cycle with repro.hdl / repro.store.
+    # Lazy import: avoid an import cycle with repro.hdl.
     from ..hdl.compile import cache_gauges
-    from ..store import store_gauges
     # The cache gauges count every compile-cache instance in the process
     # (bench harnesses install private caches), so traced runs always
-    # report the activity.  The store gauges describe the disk tier
-    # (per-region hits/misses/corrupt blobs) when REPRO_STORE is enabled.
-    gauges = {**snapshot.pop("gauges", {}),
-              **cache_gauges(),
-              **store_gauges()}
+    # report the activity.
+    gauges = {**snapshot.pop("gauges", {}), **cache_gauges()}
     record = {"type": "metrics", "gauges": gauges, **snapshot}
     tracer.emit(record)
     return record

@@ -130,11 +130,11 @@ def critic_table(records: Iterable[dict]) -> str:
 
 
 def store_table(records: Iterable[dict]) -> str:
-    """Artifact-store breakdown from ``store.*`` gauges and counters.
+    """Checkpoint-store breakdown from ``store.*`` counters.
 
-    One row per region/stat gauge (hits, misses, corrupt blobs, writes)
-    from the last metrics snapshot, plus any live ``store.*`` counters.
-    Returns ``""`` when the run never touched the persistent store.
+    One row per counter (hits, misses, corrupt blobs, writes) from the
+    last metrics snapshot.  Returns ``""`` when the run never touched a
+    checkpoint store.
     """
     snapshots = [r for r in _coerce_records(records)
                  if r.get("type") == "metrics"]
@@ -145,9 +145,6 @@ def store_table(records: Iterable[dict]) -> str:
     for name, value in sorted(snap.get("counters", {}).items()):
         if name.startswith("store."):
             rows.append([name, "counter", value])
-    for name, value in sorted(snap.get("gauges", {}).items()):
-        if name.startswith("store."):
-            rows.append([name, "gauge", value])
     if not rows:
         return ""
     return format_table(["store metric", "kind", "value"], rows)

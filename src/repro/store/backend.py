@@ -1,24 +1,22 @@
-"""Cache backends: the blob protocol, the disk store and the memory LRU.
+"""The disk store and the memory LRU.
 
-:class:`CacheBackend` is the byte-level surface (``get/put/stats`` of
-pickled blobs over named regions) that campaign journals write through:
-
-* :class:`DiskStore` — an on-disk content-addressed store
-  (``<root>/<region>/<aa>/<digest>`` files).  Writes are atomic (temp
-  file + ``os.replace`` in the same directory), so concurrent writers —
-  including :class:`~repro.exec.parallel.ParallelEvaluator` process
-  workers sharing one store directory — can never expose a torn blob.
-  Reads are corruption-tolerant: a truncated or garbage file, or a whole
-  frame that does not unpickle (:meth:`DiskStore.load`), is treated as a
-  miss (and counted), never an exception.
+* :class:`DiskStore` — an on-disk content-addressed store of pickled
+  values over named regions (``<root>/<region>/<aa>/<digest>`` files);
+  campaign journals checkpoint through :meth:`DiskStore.save` and
+  :meth:`DiskStore.load`.  Writes are atomic (temp file + ``os.replace``
+  in the same directory), so concurrent writers — including
+  :class:`~repro.exec.parallel.ParallelEvaluator` process workers sharing
+  one store directory — can never expose a torn blob.  Reads are
+  corruption-tolerant: a truncated or garbage file, or a whole frame that
+  does not unpickle (:meth:`DiskStore.load`), is treated as a miss (and
+  counted), never an exception.
 * :class:`LruCache` — a bounded, thread-safe LRU of live objects; the
-  in-process tier of ``hdl.compile``'s layers.  Nothing is serialized on
-  the memory path: pickling happens only on the way to a
-  :class:`DiskStore`.
+  in-process cache behind each of ``hdl.compile``'s layers.  Nothing on
+  it is serialized.
 
-Keys are strings; :func:`content_key` maps the repo's structured cache
-keys (tuples of hashes, tops, seeds) to a stable SHA-256 hex digest, so
-the same artifact lands at the same path in every process.
+Keys are strings; :func:`content_key` maps the repo's structured keys
+(tuples of hashes, names, seeds) to a stable SHA-256 hex digest, so the
+same checkpoint lands at the same path in every process.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 from ..obs import get_metrics, get_tracer
 
@@ -72,19 +70,6 @@ class CacheStats:
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "corrupt": self.corrupt,
                 "hit_rate": self.hit_rate}
-
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """The unified cache surface: pickled blobs under string keys, grouped
-    into named regions (``parse``, ``design``, ``result``, ``program``,
-    ``campaign``, ...)."""
-
-    def get(self, region: str, key: str) -> bytes | None: ...
-
-    def put(self, region: str, key: str, blob: bytes) -> None: ...
-
-    def stats(self) -> dict[str, CacheStats]: ...
 
 
 class LruCache:
@@ -164,55 +149,59 @@ class DiskStore:
         if get_tracer().enabled:
             get_metrics().counter(f"store.{event}").add(1)
 
-    # -- CacheBackend -------------------------------------------------------
+    # -- reads and writes ----------------------------------------------------
 
     def get(self, region: str, key: str) -> bytes | None:
-        return self._read(region, key, None)
+        return self._read(region, key, None, None)
 
-    def load(self, region: str, key: str) -> object | None:
-        """The unpickled object under ``key``, or ``None`` on a miss.
+    def load(self, region: str, key: str,
+             default: object = None) -> object:
+        """The unpickled object under ``key``, or ``default`` on a miss.
 
         A whole frame whose payload does not unpickle (garbage in a valid
         frame, a class that changed shape) is a counted corrupt miss too.
         """
-        return self._read(region, key, pickle.loads)
+        return self._read(region, key, pickle.loads, default)
 
     def save(self, region: str, key: str, value: object) -> None:
         """Pickle ``value`` and :meth:`put` it."""
         self.put(region, key, pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
 
     def _read(self, region: str, key: str,
-              decode: Callable[[bytes], object] | None) -> object | None:
+              decode: Callable[[bytes], object] | None,
+              default: object) -> object:
         stats = self._region_stats(region)
         try:
             with open(self._path(region, key), "rb") as fh:
                 blob = fh.read()
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-            return self._miss(stats, corrupt=False)
+            return self._miss(stats, False, default)
         except OSError:
             # Unreadable entry (permissions, I/O error): a miss, not a crash.
-            return self._miss(stats, corrupt=True)
+            return self._miss(stats, True, default)
         if not _blob_ok(blob):
             # Truncated or garbage entry — e.g. a crash mid-write on a
             # filesystem without atomic rename, or external vandalism.
-            return self._miss(stats, corrupt=True)
+            return self._miss(stats, True, default)
         value: object = _strip_frame(blob)
         if decode is not None:
             try:
                 value = decode(value)
             except Exception:
                 # Unpickling garbage can raise almost any exception type.
-                return self._miss(stats, corrupt=True)
+                return self._miss(stats, True, default)
         stats.hits += 1
         self._observe("hits")
         return value
 
-    def _miss(self, stats: CacheStats, corrupt: bool) -> None:
+    def _miss(self, stats: CacheStats, corrupt: bool,
+              default: object) -> object:
         stats.misses += 1
         self._observe("misses")
         if corrupt:
             stats.corrupt += 1
             self._observe("corrupt")
+        return default
 
     def put(self, region: str, key: str, blob: bytes) -> None:
         path = self._path(region, key)
@@ -261,23 +250,6 @@ class DiskStore:
                 if name.endswith(".blob"):
                     out.append(name[:-len(".blob")])
         return out
-
-    def discard(self, region: str, key: str) -> bool:
-        """Remove one entry; returns whether it existed."""
-        try:
-            os.unlink(self._path(region, key))
-            return True
-        except OSError:
-            return False
-
-    def gauges(self, prefix: str = "store") -> dict[str, float]:
-        """Flat ``prefix.region.stat`` view for telemetry snapshots."""
-        with self._lock:
-            regions = sorted(self._stats)
-        return {f"{prefix}.{region}.{stat}": round(float(value), 6)
-                for region in regions
-                for stat, value in self._region_stats(region)
-                .as_dict().items()}
 
 
 # Blob framing: an 8-byte header carrying a magic tag and the payload

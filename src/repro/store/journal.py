@@ -2,10 +2,11 @@
 
 A campaign — a sweep grid or a fuzz run — is a deterministic sequence of
 independent cells.  :class:`CampaignJournal` records each completed cell's
-result in the artifact store under a key derived from the campaign
-fingerprint and the cell's content, so an interrupted campaign restarted
-with ``--resume`` replays the finished prefix from the store and computes
-only the remainder.  Because every cell is a pure function of its key and
+result in a :class:`~repro.store.DiskStore` under a key derived from
+the campaign fingerprint and the cell's content, so an interrupted
+campaign restarted with ``--resume`` replays the finished prefix from the
+store and computes only the remainder.  It is the only path by which
+finished work crosses processes.  Because every cell is a pure function of its key and
 journaled values round-trip through pickle, a resumed campaign's results
 are byte-identical to an uninterrupted run (pinned by the identity tests
 in ``tests/test_store.py``).
@@ -23,11 +24,10 @@ without touching flow signatures.
 
 from __future__ import annotations
 
-import pickle
 import threading
 from contextlib import contextmanager
 
-from .backend import CacheBackend, content_key
+from .backend import DiskStore, content_key
 
 #: Store region holding campaign checkpoints.
 CAMPAIGN_REGION = "campaign"
@@ -37,7 +37,7 @@ MISS = object()
 
 
 class CampaignJournal:
-    """Checkpoint ledger for one campaign over a :class:`CacheBackend`.
+    """Checkpoint ledger for one campaign in a :class:`DiskStore`.
 
     ``campaign`` is the campaign fingerprint — everything that determines
     the cell stream (flow/fuzzer name, model, seed, problem set, config).
@@ -45,7 +45,7 @@ class CampaignJournal:
     can share one store directory without collisions.
     """
 
-    def __init__(self, store: CacheBackend, campaign: object, *,
+    def __init__(self, store: DiskStore, campaign: object, *,
                  resume: bool = False, region: str = CAMPAIGN_REGION):
         self.store = store
         self.campaign = content_key(campaign)
@@ -62,16 +62,13 @@ class CampaignJournal:
 
         Always a miss when ``resume`` is off — fresh campaigns recompute.
         A corrupt checkpoint (truncated blob, unpicklable payload) is a
-        miss too: the cell is simply recomputed.
+        miss too, counted in the store's ``corrupt`` statistic: the cell
+        is simply recomputed.
         """
         if not self.resume:
             return MISS
-        blob = self.store.get(self.region, self.key(*parts))
-        if blob is None:
-            return MISS
-        try:
-            value = pickle.loads(blob)
-        except Exception:
+        value = self.store.load(self.region, self.key(*parts), MISS)
+        if value is MISS:
             return MISS
         self._restored += 1
         return value
@@ -79,8 +76,7 @@ class CampaignJournal:
     def record(self, *parts_and_value: object) -> None:
         """Journal one completed cell: ``record(*parts, value)``."""
         *parts, value = parts_and_value
-        blob = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-        self.store.put(self.region, self.key(*parts), blob)
+        self.store.save(self.region, self.key(*parts), value)
         self._written += 1
 
     @property

@@ -2,9 +2,9 @@
 // campaign seed=0 case=7 top=tb dut=slow_toggle
 // replay: (hand-seeded edge case, not generated)
 // detail: dynamic delay amount (#d where d is a register) — outside the
-//   compiled engine's subset, so engine auto-selection must fall back to
+//   compiled engine's subset, so engine selection must fall back to
 //   the event-driven simulator and still complete the testbench; pins the
-//   selector's ineligible path under REPRO_SIM_ENGINE=compiled
+//   selector's ineligible path (run_testbench tries compiled first)
 // expect: pass
 module slow_toggle(output reg q);
   reg [3:0] d = 2;

@@ -15,17 +15,6 @@ import pytest
 from repro.flows.__main__ import main as flows_main
 from repro.fuzz.__main__ import main as fuzz_main
 from repro.obs.report import main as report_main
-from repro.store import reset_default_store
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_store(monkeypatch):
-    """CLI error tests must not be rescued by an ambient REPRO_STORE."""
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-    reset_default_store()
-    yield
-    reset_default_store()
 
 
 class TestFlowsCli:
@@ -106,13 +95,38 @@ class TestStoreFlagConventions:
         err = capsys.readouterr().err
         assert "--resume requires an active artifact store" in err
 
-    def test_resume_honours_env_enabled_store(self, tmp_path, monkeypatch,
+    def test_resume_ignores_retired_store_env(self, tmp_path, monkeypatch,
                                               capsys):
-        monkeypatch.setenv("REPRO_STORE", "1")
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        reset_default_store()
+        """Only ``--store`` opens a checkpoint store; the retired
+        environment knobs do not."""
+        monkeypatch.setenv("REPRO_" + "STORE", "1")
+        monkeypatch.setenv("REPRO_" + "STORE_DIR", str(tmp_path))
         assert fuzz_main(["--budget", "2", "--no-corpus", "--quiet",
-                          "--resume"]) == 0
+                          "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "--resume requires an active artifact store" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_store_flag_leaves_environment_alone(self, tmp_path,
+                                                 monkeypatch, capsys):
+        for key in [k for k in os.environ if k.startswith("REPRO_STORE")]:
+            monkeypatch.delenv(key)
+        assert fuzz_main(["--budget", "2", "--no-corpus", "--quiet",
+                          "--store", str(tmp_path / "s")]) == 0
+        assert not [k for k in os.environ if k.startswith("REPRO_STORE")]
+
+    def test_fuzz_resume_extends_a_campaign(self, tmp_path, capsys):
+        """A resumed, longer campaign prints what a fresh one prints and
+        says how many cases it restored."""
+        store = ["--store", str(tmp_path)]
+        base = ["--seed", "4", "--no-corpus", "--quiet"]
+        assert fuzz_main(base + ["--budget", "3"] + store) == 0
+        capsys.readouterr()
+        assert fuzz_main(base + ["--budget", "5", "--resume"] + store) == 0
+        resumed = capsys.readouterr()
+        assert fuzz_main(base + ["--budget", "5"]) == 0
+        assert resumed.out == capsys.readouterr().out
+        assert "3 cases restored from the journal, 2 run" in resumed.err
 
     def test_store_flag_takes_optional_directory(self, tmp_path, capsys):
         assert fuzz_main(["--budget", "2", "--no-corpus", "--quiet",

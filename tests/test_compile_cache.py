@@ -1,6 +1,5 @@
 """Compile-cache correctness: hits equal cold compiles, eviction is
-bounded, the disk tier sits behind every layer, and no consumer mutates
-the live objects the cache hands out."""
+bounded, and no consumer mutates the live objects the cache hands out."""
 
 import dataclasses
 import hashlib
@@ -12,24 +11,10 @@ from repro.bench.problems import all_problems, get_problem
 from repro.hdl import (CompileCache, HdlError, compile_design,
                        get_default_cache, run_testbench, set_default_cache,
                        source_key)
-from repro.store import (DiskStore, LruCache, content_key,
-                         get_default_store, reset_default_store,
-                         set_default_store)
+from repro.store import LruCache
 
 
 PROBLEM = all_problems()[3]
-
-
-@pytest.fixture(autouse=True)
-def _memory_only_store(monkeypatch):
-    """These tests pin the *memory tier's* cold/hit/eviction contract; an
-    ambient ``REPRO_STORE`` (e.g. the CI warm-start lane) would satisfy
-    cold lookups from disk and break the assertions.  Disk-tier tests
-    install their own store."""
-    monkeypatch.setenv("REPRO_STORE", "0")
-    reset_default_store()
-    yield
-    reset_default_store()
 
 
 @pytest.fixture()
@@ -215,70 +200,6 @@ class TestLayers:
         cache.put_program(("k",), ("ineligible", "program"))
         assert cache.get_result(("k",)) == "result"
         assert cache.get_program(("k",)) == ("ineligible", "program")
-
-
-class TestDiskTier:
-    """The disk store behind every layer (``REPRO_STORE=1``)."""
-
-    def test_disk_hit_is_promoted(self, tmp_path):
-        store = set_default_store(DiskStore(str(tmp_path)))
-        units = (PROBLEM.reference, PROBLEM.testbench)
-        cold = compile_design(units, PROBLEM.tb_name, cache=CompileCache())
-        fresh = CompileCache()          # as if in a second process
-        first = compile_design(units, PROBLEM.tb_name, cache=fresh)
-        second = compile_design(units, PROBLEM.tb_name, cache=fresh)
-        assert first.from_cache and second.from_cache
-        assert store.stats()["design"].hits == 1   # second stayed in memory
-        assert (fresh.stats()["design"].hits,
-                fresh.stats()["design"].misses) == (1, 1)
-        assert first.design == cold.design
-
-    def test_put_writes_disk_only_when_store_is_on(self, tmp_path):
-        cache = CompileCache()
-        cache.put_result(("tb", "off"), "memory only")
-        store = set_default_store(DiskStore(str(tmp_path)))
-        cache.put_result(("tb", "on"), "persisted")
-        assert store.keys("result") == [content_key(("tb", "on"))]
-        assert store.load("result", content_key(("tb", "on"))) == "persisted"
-
-    def test_store_flip_resolves_live(self, tmp_path, monkeypatch):
-        cache = CompileCache()
-        monkeypatch.setenv("REPRO_STORE", "1")
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        cache.put_result(("tb", "k"), "v")
-        assert get_default_store().keys("result") == \
-            [content_key(("tb", "k"))]
-        cache.clear()
-        assert cache.get_result(("tb", "k")) == "v"     # served from disk
-        monkeypatch.setenv("REPRO_STORE", "0")
-        cache.clear()
-        assert cache.get_result(("tb", "k")) is None    # disk is off now
-
-    def test_eviction_is_bounded_and_counted(self, tmp_path):
-        store = set_default_store(DiskStore(str(tmp_path)))
-        cache = CompileCache(result_capacity=2)
-        for i in range(5):
-            cache.put_result(("tb", i), i)
-        stats = cache.stats_dict()["result"]
-        assert (stats["size"], stats["evictions"]) == (2, 3)
-        assert len(store.keys("result")) == 5
-        assert cache.get_result(("tb", 0)) == 0   # evicted, back from disk
-
-    def test_unpicklable_disk_blob_is_a_counted_miss(self, tmp_path):
-        """A validly framed payload that does not unpickle is a miss: the
-        design is recomputed, and the store counts the entry corrupt."""
-        store = set_default_store(DiskStore(str(tmp_path)))
-        units = (PROBLEM.reference, PROBLEM.testbench)
-        cold = compile_design(units, PROBLEM.tb_name, cache=CompileCache())
-        (digest,) = store.keys("design")
-        store.put("design", digest, b"framed, but not a pickle")
-        again = compile_design(units, PROBLEM.tb_name, cache=CompileCache())
-        assert not again.from_cache
-        assert again.design == cold.design
-        assert store.stats()["design"].corrupt == 1
-        # The recompute rewrote the slot.
-        assert compile_design(units, PROBLEM.tb_name,
-                              cache=CompileCache()).from_cache
 
 
 class TestKnobs:

@@ -53,8 +53,7 @@ class TestResolveJobs:
 class TestSnapshot:
     def test_snapshot_covers_every_knob(self, settings):
         assert set(settings.snapshot()) == {
-            "jobs", "trace", "trace_file", "store", "store_dir",
-            "full_eval", "critic"}
+            "jobs", "trace", "trace_file", "full_eval", "critic"}
 
 
 class TestFullEval:
@@ -83,7 +82,6 @@ class TestRetiredKnobs:
 
         for suffix in ("HDL_CACHE", "COMPILE_CACHE", "RESULT_CACHE"):
             monkeypatch.setenv("REPRO_" + suffix, "0")
-        monkeypatch.setenv("REPRO_STORE", "0")
         cache = CompileCache()
         problems = all_problems()[:2]
         for p in problems:
@@ -98,11 +96,8 @@ class TestRetiredKnobs:
         retired engine knob asking for the event engine."""
         from repro import obs
         from repro.hdl import CompileCache, run_testbench
-        from repro.store import reset_default_store
 
-        monkeypatch.setenv("REPRO_STORE", "0")
         monkeypatch.setenv("REPRO_" + "SIM_ENGINE", "event")
-        reset_default_store()
         obs.install_tracer(obs.Tracer(obs.InMemorySink(), enabled=True))
         obs.reset_metrics()
         try:
@@ -111,7 +106,6 @@ class TestRetiredKnobs:
         finally:
             obs.reset_tracer()
             obs.reset_metrics()
-            reset_default_store()
         assert counters.get("sim.backend.compiled.runs") == 1
         assert "sim.backend.event.runs" not in counters
 
@@ -132,6 +126,17 @@ class TestRetiredKnobs:
             obs.reset_metrics()
         assert [(v.ok, v.stage) for v in verdicts] == [(True, "rules")]
         assert not any("judge" in name for name in counters)
+
+    def test_retired_store_knobs_are_inert(self, monkeypatch, tmp_path):
+        """The compile cache has no disk tier: with the retired store
+        knobs set, a testbench run writes nothing to their directory."""
+        from repro.hdl import CompileCache, run_testbench
+
+        monkeypatch.setenv("REPRO_" + "STORE", "1")
+        monkeypatch.setenv("REPRO_" + "STORE_DIR", str(tmp_path))
+        result = run_testbench(_COUNTER_TB, "tb", cache=CompileCache())
+        assert result.passed
+        assert list(tmp_path.iterdir()) == []
 
 
 _COUNTER_TB = """

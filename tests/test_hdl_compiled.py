@@ -19,18 +19,6 @@ from repro.hdl import (CompileCache, CompiledSim, Simulator, UnsupportedDesign,
                        set_default_cache, get_default_cache)
 from repro.hdl.compiled import XBail
 from repro.hdl.testbench import _simulate
-from repro.store import reset_default_store
-
-
-@pytest.fixture(autouse=True)
-def _memory_only_store(monkeypatch):
-    """Engine-selection and telemetry assertions need fresh caches to
-    actually *simulate*; an ambient ``REPRO_STORE`` (the CI warm-start
-    lane) would serve results from disk and skip the paths under test."""
-    monkeypatch.setenv("REPRO_STORE", "0")
-    reset_default_store()
-    yield
-    reset_default_store()
 
 COUNTER = """
 module counter(input clk, input rst, output reg [7:0] q);

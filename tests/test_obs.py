@@ -13,21 +13,12 @@ from repro.obs.trace import TRACE_ENV, TRACE_FILE_ENV
 
 @pytest.fixture(autouse=True)
 def _isolated_tracer(monkeypatch):
-    """Each test starts from the env-default tracer and a clean registry.
-
-    The artifact store is forced off: the end-to-end trace assertions
-    require compiles and simulations to actually *run*, which an ambient
-    ``REPRO_STORE`` (the CI warm-start lane) would serve from disk.
-    """
-    from repro.store import reset_default_store
+    """Each test starts from the env-default tracer and a clean registry."""
     monkeypatch.delenv(TRACE_ENV, raising=False)
     monkeypatch.delenv(TRACE_FILE_ENV, raising=False)
-    monkeypatch.setenv("REPRO_STORE", "0")
-    reset_default_store()
     obs.reset_tracer()
     obs.reset_metrics()
     yield
-    reset_default_store()
     obs.reset_tracer()
     obs.reset_metrics()
 

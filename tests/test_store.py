@@ -1,13 +1,11 @@
-"""Artifact-store suite: backends, journals, and resume identity.
+"""Checkpoint-store suite: the disk store, journals, and resume identity.
 
 The contract under test has three layers:
 
-* **the disk store** — the :class:`repro.store.CacheBackend` surface of
-  the on-disk content-addressed store (atomic writes, corruption
-  tolerated as misses; the compile cache's memory tier over it is pinned
-  in ``tests/test_compile_cache.py``);
-* **cross-process reuse** — a subprocess warm-starts from artifacts its
-  parent (or an earlier subprocess) persisted;
+* **the disk store** — the on-disk content-addressed
+  :class:`repro.store.DiskStore` (atomic writes, corruption tolerated as
+  counted misses);
+* **cross-process reuse** — a subprocess reads what its parent wrote;
 * **resume identity** — an interrupted sweep or fuzz campaign restarted
   with ``resume`` produces byte-identical results to an uninterrupted
   run, and corrupt checkpoints silently fall back to recomputation.
@@ -28,25 +26,14 @@ from repro import obs
 from repro.exec import sweep_map
 from repro.fuzz.runner import campaign_fingerprint, run_campaign
 from repro.store import (MISS, CampaignJournal, DiskStore, campaign_scope,
-                         content_key, current_journal, get_default_store,
-                         reset_default_store)
+                         content_key, current_journal)
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-@pytest.fixture(autouse=True)
-def _fresh_store_state():
-    reset_default_store()
-    yield
-    reset_default_store()
-
-
-def _subprocess_env(store_dir: str | None = None) -> dict:
+def _subprocess_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    if store_dir is not None:
-        env["REPRO_STORE"] = "1"
-        env["REPRO_STORE_DIR"] = store_dir
     return env
 
 
@@ -194,23 +181,6 @@ class TestDiskStore:
         assert store.stats()["r"].corrupt == 0
 
 
-class TestDefaultStore:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        reset_default_store()
-        assert get_default_store() is None
-
-    def test_env_knobs_resolve_live(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "1")
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        store = get_default_store()
-        assert store is not None
-        assert store.root == str(tmp_path)
-        assert get_default_store() is store  # cached per (enabled, dir)
-        monkeypatch.setenv("REPRO_STORE", "0")
-        assert get_default_store() is None
-
-
 class TestCrossProcessReuse:
     def test_subprocess_reads_parent_artifacts(self, tmp_path):
         store = DiskStore(str(tmp_path))
@@ -227,37 +197,6 @@ class TestCrossProcessReuse:
             env=_subprocess_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
-
-    def test_compile_results_warm_start_across_processes(self, tmp_path):
-        """A second process serves ``run_testbench`` from the first
-        process's persisted result blob — and returns an equal result.
-
-        The field values are compared, not ``pickle.dumps`` bytes: an
-        unpickled result may share equal strings the live one did not,
-        which changes the pickle's memo bytes but not the value."""
-        script = (
-            "import dataclasses\n"
-            "from repro.bench.problems import all_problems\n"
-            "from repro.hdl import run_testbench\n"
-            "from repro.store import get_default_store\n"
-            "p = all_problems()[3]\n"
-            "r = run_testbench(p.reference, p.tb_name,\n"
-            "                  tb_source=p.testbench)\n"
-            "stats = get_default_store().stats()\n"
-            "hits = stats.get('result').hits if 'result' in stats else 0\n"
-            "print(hits, repr(dataclasses.astuple(r)))\n")
-        env = _subprocess_env(str(tmp_path))
-        cold = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True)
-        warm = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True)
-        assert cold.returncode == 0, cold.stderr
-        assert warm.returncode == 0, warm.stderr
-        cold_hits, cold_fields = cold.stdout.rstrip("\n").split(" ", 1)
-        warm_hits, warm_fields = warm.stdout.rstrip("\n").split(" ", 1)
-        assert int(cold_hits) == 0
-        assert int(warm_hits) >= 1
-        assert warm_fields == cold_fields
 
 
 class TestCampaignJournal:
@@ -287,6 +226,17 @@ class TestCampaignJournal:
         journal = CampaignJournal(store, "c", resume=True)
         store.put(journal.region, journal.key("cell", 0), b"not a pickle")
         assert journal.lookup("cell", 0) is MISS
+        assert journal.restored == 0
+        stats = store.stats()[journal.region]
+        assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+
+    def test_journaled_none_is_restored(self, tmp_path):
+        """``None`` is a result like any other, distinct from a miss."""
+        store = DiskStore(str(tmp_path))
+        CampaignJournal(store, "c").record("cell", 0, None)
+        journal = CampaignJournal(store, "c", resume=True)
+        assert journal.lookup("cell", 0) is None
+        assert journal.restored == 1
 
     def test_campaign_scope_installs_and_restores(self, tmp_path):
         journal = CampaignJournal(DiskStore(str(tmp_path)), "c")
