@@ -9,12 +9,14 @@ with ``ok=False`` is a finding worth shrinking.
 (b) ``cache``     — cold-compile, warm-cache, and cache-free runs agree
 (c) ``parallel``  — ``ParallelEvaluator.map`` vs a serial comprehension
 (d) ``roundtrip`` — parse → unparse → reparse is a structural fixpoint
-(e) ``compiled``  — compiled straight-line engine vs the event engine
+(e) ``compiled``  — compiled straight-line engine vs the event engine, on
+                    the testbench and through the stimulus driver
 (f) ``critic``    — trojan-mutated DUTs must be flagged by the critic
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from ..exec.parallel import ParallelEvaluator
@@ -23,7 +25,7 @@ from ..hdl import parse, run_testbench, strip_locations, unparse
 from ..hdl.compile import CompileCache
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HdlError
-from ..hdl.testbench import TestbenchResult, _simulate
+from ..hdl.testbench import TestbenchResult, _EventDriver, _simulate
 from ..synth.cec import check_against_simulation
 from ..synth.flatten import synthesize_source
 from ..synth.synthesize import SynthesisError
@@ -193,10 +195,24 @@ def oracle_roundtrip(case: FuzzCase) -> OracleReport:
 def oracle_compiled(case: FuzzCase) -> OracleReport:
     """The compiled fast path must reproduce the event engine exactly.
 
-    Ineligible designs and runtime bails are skips, not findings — the
-    production selector falls back to the event engine for them — but any
-    *completed* compiled run must match field-for-field.
+    Two comparisons: the whole testbench run, and the case's DUT alone on
+    seeded random input vectors, the compiled stimulus driver against the
+    event one.  Ineligible designs and runtime bails are skips, not
+    findings — production falls back to the event engine for them — but
+    any *completed* compiled run must match field-for-field.  The case is
+    a skip only when both comparisons are.
     """
+    reports = (_compare_testbench(case), _compare_stimulus(case))
+    for report in reports:
+        if report.divergence:
+            return report
+    if all(report.skipped for report in reports):
+        return OracleReport("compiled", ok=True, skipped=True,
+                            detail="; ".join(r.detail for r in reports))
+    return OracleReport("compiled", ok=True)
+
+
+def _compare_testbench(case: FuzzCase) -> OracleReport:
     from ..hdl.compiled import UnsupportedDesign, XBail, compile_program
     from ..hdl.testbench import _simulate_compiled
     try:
@@ -220,6 +236,70 @@ def oracle_compiled(case: FuzzCase) -> OracleReport:
         return OracleReport(
             "compiled", ok=False, kind="compiled-vs-event",
             detail=_diff("compiled", f_fast, "event", f_ref))
+    return OracleReport("compiled", ok=True)
+
+
+STIMULUS_VECTORS = 8
+SETTLE_ITERS = 100_000
+
+
+def _drive(driver, vectors: list[dict[str, int]], outputs: list[str],
+           clk: str | None) -> list[tuple[str, ...]]:
+    """Output rows of one stimulus driver, stepped the way
+    ``StimulusRunner.apply`` steps it."""
+    driver.settle(SETTLE_ITERS)
+    rows = []
+    for vector in vectors:
+        for port, value in vector.items():
+            driver.poke(port, value)
+        for level in (0, 1, 0) if clk else ():
+            driver.poke(clk, level)
+            driver.settle(SETTLE_ITERS)
+        if not clk:
+            driver.settle(SETTLE_ITERS)
+        rows.append(tuple(str(driver.peek(name)) for name in outputs))
+    return rows
+
+
+def _compare_stimulus(case: FuzzCase) -> OracleReport:
+    from ..hdl.compiled import (CompiledSim, UnsupportedDesign, XBail,
+                                compile_program)
+    try:
+        design = elaborate(parse(case.dut_source), case.dut_name)
+    except HdlError as exc:
+        return OracleReport("compiled", ok=True, skipped=True,
+                            detail=f"DUT does not compile: {exc}")
+    try:
+        program = compile_program(design)
+    except UnsupportedDesign as exc:
+        return OracleReport("compiled", ok=True, skipped=True,
+                            detail=f"DUT ineligible for compiled driver: {exc}")
+    ports = [sig for sig in design.signals.values() if sig.is_port]
+    outputs = [sig.name for sig in ports if sig.direction == "output"]
+    clk = "clk" if case.sequential else None
+    rng = random.Random(case.seed)
+    vectors = [{sig.name: rng.getrandbits(sig.width) for sig in ports
+                if sig.direction == "input" and sig.name != clk}
+               for _ in range(STIMULUS_VECTORS)]
+    fast_driver = CompiledSim(program, seed=1)
+    fast_driver.prime()
+    try:
+        fast = _drive(fast_driver, vectors, outputs, clk)
+    except XBail as exc:
+        return OracleReport("compiled", ok=True, skipped=True,
+                            detail=f"compiled driver bailed: {exc}")
+    try:
+        ref = _drive(_EventDriver(design, seed=1), vectors, outputs, clk)
+    except HdlError as exc:
+        return OracleReport(
+            "compiled", ok=False, kind="stimulus-event-error",
+            detail=f"compiled driver completed, event driver raised: {exc}")
+    for i, (row_fast, row_ref) in enumerate(zip(fast, ref)):
+        if row_fast != row_ref:
+            return OracleReport(
+                "compiled", ok=False, kind="stimulus-compiled-vs-event",
+                detail=f"vector {i} {vectors[i]}: outputs {outputs} "
+                       f"compiled={row_fast} event={row_ref}")
     return OracleReport("compiled", ok=True)
 
 

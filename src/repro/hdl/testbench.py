@@ -8,6 +8,13 @@ Two ways to exercise a design:
 * :class:`StimulusRunner` — poke/peek ports directly from Python, used by the
   ranking flows (VRank/AutoChip) to compare candidate designs on identical
   input vectors without trusting any generated testbench.
+
+Both run eligible designs on the compiled engine (:mod:`repro.hdl.compiled`)
+and share its program cache.  Designs outside the compiled subset run on
+the event :class:`~repro.hdl.simulator.Simulator`, and so does any run the
+compiled engine bails out of: ``run_testbench`` re-runs it, and a
+``StimulusRunner`` replays the pokes and settles applied so far.  Results
+and errors are therefore always the event engine's.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .compiled import (CompiledProgram, CompiledSim, UnsupportedDesign,
                        XBail, compile_program)
 from .elaborate import Design
 from .errors import HdlError
-from .simulator import Simulator
+from .simulator import Frame, Simulator
 from .values import Logic
 
 
@@ -188,51 +195,30 @@ def run_testbench(source: str, top: str, max_time: int = 200_000,
     return result
 
 
-class StimulusRunner:
-    """Drives a single module's ports directly, without a Verilog testbench."""
+class _EventDriver:
+    """The event engine behind :class:`StimulusRunner`: the fallback for
+    designs outside the compiled subset and for bails, and the authority
+    on every error."""
 
-    def __init__(self, source: str | CompiledDesign, top: str, seed: int = 1,
-                 cache: CompileCache | None = None):
-        if isinstance(source, CompiledDesign):
-            self.design = source.design
-        else:
-            self.design = compile_design(source, top, cache=cache).design
-        self.top = top
-        self.sim = Simulator(self.design, seed=seed)
-        self._ports = {name: sig for name, sig in self.design.signals.items()
-                       if sig.is_port}
+    def __init__(self, design: Design, seed: int):
+        self.sim = sim = Simulator(design, seed=seed)
         # Prime time-zero evaluation of combinational logic.
-        for idx, proc in enumerate(self.design.processes):
+        for idx, proc in enumerate(design.processes):
             if proc.kind == "assign" or (proc.kind == "always" and not proc.edges
-                                         and not self.sim._has_timing(proc.body)):
-                self.sim._active.append(("comb", idx))
-        self.settle()
-
-    @property
-    def inputs(self) -> list[str]:
-        return [n for n, s in self._ports.items() if s.direction == "input"]
-
-    @property
-    def outputs(self) -> list[str]:
-        return [n for n, s in self._ports.items() if s.direction == "output"]
-
-    def width_of(self, port: str) -> int:
-        return self._ports[port].width
+                                         and not sim._has_timing(proc.body)):
+                sim._active.append(("comb", idx))
 
     def poke(self, port: str, value: int) -> None:
-        sig = self._ports.get(port)
-        if sig is None or sig.direction != "input":
-            raise KeyError(f"'{port}' is not an input port of '{self.top}'")
-        self.sim._set_signal(port, Logic.from_int(value, sig.width))
+        sim = self.sim
+        sim._set_signal(port, Logic.from_int(value, sim.values[port].width))
 
     def peek(self, port: str) -> Logic:
-        if port not in self._ports:
-            raise KeyError(f"'{port}' is not a port of '{self.top}'")
         return self.sim.values[port]
 
-    def settle(self, max_iters: int = 100_000) -> None:
+    def settle(self, max_iters: int) -> None:
         """Drain the active/NBA queues at the current time (delta cycles)."""
         sim = self.sim
+        processes = sim.design.processes
         iters = 0
         sim._steps_this_slot = 0
         while sim._active or sim._nba:
@@ -245,13 +231,100 @@ class StimulusRunner:
                 if tag == "comb":
                     sim._run_comb(item[1])
                 elif tag == "edge":
-                    proc = sim.design.processes[item[1]]
-                    from .simulator import Frame
+                    proc = processes[item[1]]
                     sim._exec_sync(proc.body, Frame(proc.scope))
-                elif tag in ("start", "restart", "resume"):
-                    # Coroutine activity is ignored by the direct driver.
-                    continue
+                # Coroutine activity ("start", "restart", "resume") is
+                # ignored by the direct driver.
             sim._apply_nba()
+
+
+class StimulusRunner:
+    """Drives a single module's ports directly, without a Verilog testbench.
+
+    Eligible designs run on the compiled engine's driver (the program is
+    shared with :func:`run_testbench` through the program cache); the
+    others run on the event engine.  If the compiled driver bails, the
+    runner rebuilds itself on the event engine and replays every poke and
+    settle applied so far, so values and errors are the event engine's
+    and callers never see which engine ran.
+    """
+
+    def __init__(self, source: str | CompiledDesign, top: str, seed: int = 1,
+                 cache: CompileCache | None = None):
+        cache = cache or get_default_cache()
+        compiled = source if isinstance(source, CompiledDesign) \
+            else compile_design(source, top, cache=cache)
+        self.design = compiled.design
+        self.top = top
+        self._seed = seed
+        self._ports = {name: sig for name, sig in self.design.signals.items()
+                       if sig.is_port}
+        self._inputs = tuple(n for n, s in self._ports.items()
+                             if s.direction == "input")
+        self._outputs = tuple(n for n, s in self._ports.items()
+                              if s.direction == "output")
+        entry = _obtain_program(compiled, cache)
+        self._driver: CompiledSim | _EventDriver
+        # Pokes (port, value) and settles (None, max_iters) applied so far;
+        # kept only while a bail can still happen.
+        self._applied: list[tuple] | None = None
+        if entry[0] == "ok":
+            self._driver = CompiledSim(entry[1], seed=seed)
+            self._driver.prime()
+            self._applied = []
+        else:
+            if get_tracer().enabled:
+                get_metrics().counter("sim.backend.ineligible").add(1)
+            self._driver = _EventDriver(self.design, seed)
+        self.settle()
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        return self._inputs
+
+    @property
+    def outputs(self) -> tuple[str, ...]:
+        return self._outputs
+
+    def width_of(self, port: str) -> int:
+        return self._ports[port].width
+
+    def poke(self, port: str, value: int) -> None:
+        sig = self._ports.get(port)
+        if sig is None or sig.direction != "input":
+            raise KeyError(f"'{port}' is not an input port of '{self.top}'")
+        if self._applied is not None:
+            self._applied.append((port, value))
+        self._driver.poke(port, value)
+
+    def peek(self, port: str) -> Logic:
+        if port not in self._ports:
+            raise KeyError(f"'{port}' is not a port of '{self.top}'")
+        return self._driver.peek(port)
+
+    def settle(self, max_iters: int = 100_000) -> None:
+        """Drain the active/NBA queues at the current time (delta cycles)."""
+        if self._applied is None:
+            self._driver.settle(max_iters)
+            return
+        self._applied.append((None, max_iters))
+        try:
+            self._driver.settle(max_iters)
+        except XBail:
+            self._replay_on_event_engine()
+
+    def _replay_on_event_engine(self) -> None:
+        """Rebuild on the event engine and replay everything applied so far;
+        the last settle then yields the event engine's values or error."""
+        if get_tracer().enabled:
+            get_metrics().counter("sim.backend.fallbacks").add(1)
+        applied, self._applied = self._applied, None
+        self._driver = driver = _EventDriver(self.design, self._seed)
+        for port, arg in applied:
+            if port is None:
+                driver.settle(arg)
+            else:
+                driver.poke(port, arg)
 
     def clock_cycle(self, clk: str = "clk") -> None:
         """Apply one rising edge (and return the clock to zero)."""
@@ -270,7 +343,7 @@ class StimulusRunner:
             self.clock_cycle(clk)
         else:
             self.settle()
-        return {name: self.peek(name) for name in self.outputs}
+        return {name: self.peek(name) for name in self._outputs}
 
 
 def exercise_module(source: str | CompiledDesign, top: str,

@@ -4,6 +4,7 @@ bounded, and no consumer mutates the live objects the cache hands out."""
 import dataclasses
 import hashlib
 import pickle
+import types
 
 import pytest
 
@@ -114,6 +115,10 @@ class TestBoundedEviction:
 
 
 def _digest(value: object) -> str:
+    if isinstance(value, types.CodeType):
+        # The compiled engine's shared code objects do not pickle; they
+        # hash by content.
+        return str(hash(value))
     return hashlib.sha256(pickle.dumps(value)).hexdigest()
 
 
@@ -123,7 +128,8 @@ def _run_every_consumer(problems) -> None:
     from repro.bench.workloads import REPAIR_WORKLOADS, TESTER_WORKLOADS
     from repro.core.agent import run_agent_sweep
     from repro.flows import detection_sweep, list_flows, run_flow
-    from repro.hdl import StimulusRunner, exercise_module, parse_module
+    from repro.hdl import (CompiledSim, StimulusRunner, exercise_module,
+                           parse_module)
     from repro.hls import c_rtl_cosim, cparse
     from repro.synth import synthesize_module
     from repro.synth.cec import check_against_simulation
@@ -134,6 +140,7 @@ def _run_every_consumer(problems) -> None:
     detection_sweep(problems, seeds=(3,), jobs=1)
     for p in problems:
         runner = StimulusRunner(p.reference, p.module_name)
+        assert isinstance(runner._driver, CompiledSim)
         clk = "clk" if "clk" in runner.inputs else None
         vectors = [{name: (7 * i + j) % (1 << runner.width_of(name))
                     for j, name in enumerate(runner.inputs) if name != clk}
@@ -164,7 +171,10 @@ class TestPoisonSafety:
     def test_consumers_never_mutate_cached_objects(self, monkeypatch):
         """The live-object contract: hash every value as the cache stores
         it, run every consumer on two problems, and re-hash every entry
-        still live — nothing may have changed."""
+        still live — nothing may have changed.  The stimulus consumers run
+        on the compiled driver, over cached designs and programs and the
+        shared code objects."""
+        from repro.hdl import compiled
         stored: dict[tuple, tuple] = {}
         real_put = LruCache.put
 
@@ -172,14 +182,25 @@ class TestPoisonSafety:
             stored[(id(lru), key)] = (lru, key, _digest(value))
             real_put(lru, key, value)
 
+        settles = []
+        real_settle = compiled.CompiledSim.settle
+
+        def counting_settle(sim, max_iters):
+            settles.append(max_iters)
+            real_settle(sim, max_iters)
+
         monkeypatch.setattr(LruCache, "put", recording_put)
+        monkeypatch.setattr(compiled.CompiledSim, "settle", counting_settle)
         big = 1 << 20   # nothing is evicted, so every entry is re-hashed
         set_default_cache(CompileCache(big, big, big))
+        monkeypatch.setattr(compiled, "_CODE", LruCache(big))
         _run_every_consumer([get_problem("c1_and4"),
                              get_problem("c2_counter")])
         layers = {layer for layer, s in get_default_cache().stats().items()
                   if s.lookups}
         assert layers == {"parse", "design", "program", "result"}
+        assert len(compiled._CODE) > 0
+        assert len(settles) > 100
         changed = [key for lru, key, digest in stored.values()
                    if _digest(lru.get(key)) != digest]
         assert len(stored) > 100

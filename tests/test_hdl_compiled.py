@@ -13,12 +13,17 @@ from __future__ import annotations
 
 import pytest
 
+import builtins
+
 from repro import obs
-from repro.hdl import (CompileCache, CompiledSim, Simulator, UnsupportedDesign,
-                       compile_program, elaborate, parse, run_testbench,
-                       set_default_cache, get_default_cache)
+from repro.hdl import (CompileCache, CompiledSim, HdlError, Simulator,
+                       StimulusRunner, UnsupportedDesign, compile_design,
+                       compile_program, elaborate, exercise_module, parse,
+                       run_testbench, set_default_cache, get_default_cache)
+from repro.hdl import compiled, simulator, testbench
 from repro.hdl.compiled import XBail
 from repro.hdl.testbench import _simulate
+from repro.store import LruCache
 
 COUNTER = """
 module counter(input clk, input rst, output reg [7:0] q);
@@ -194,6 +199,181 @@ class TestProgramCache:
         sim = CompiledSim(program, seed=1)
         sim.run(max_time=10_000)
         assert sim.finished
+
+
+COUNTER_DUT = """
+module cnt(input clk, input rst, input [1:0] step, output reg [5:0] q,
+           output odd);
+  always @(posedge clk) begin
+    if (rst) q <= 6'd0;
+    else q <= q + step;
+  end
+  assign odd = q[0];
+endmodule
+"""
+
+ADD_FUNCTION = """
+module fn(input [3:0] a, input [3:0] b, output [4:0] y);
+  function [4:0] add;
+    input [3:0] x;
+    input [3:0] z;
+    add = x + z;
+  endfunction
+  assign y = add(a, b);
+endmodule
+"""
+
+LONG_LOOP = """
+module lp(input en, input [7:0] a, output reg [7:0] y);
+  reg [31:0] i;
+  always @* begin
+    y = a;
+    for (i = 0; en && i < 32'd1000; i = i + 1) y = y + 8'd1;
+  end
+endmodule
+"""
+
+RUNAWAY = """
+module ri(input en, output reg b, output a);
+  assign a = en ? ~b : 1'b0;
+  always @* b <= a;
+endmodule
+"""
+
+COUNTER_VECTORS = [{"step": (3 * i) % 4} for i in range(12)]
+
+
+def _event_signatures(monkeypatch, *args, **kwargs):
+    """``exercise_module`` with every design forced onto the event driver."""
+    with monkeypatch.context() as m:
+        m.setattr(testbench, "_obtain_program",
+                  lambda compiled, cache: ("ineligible", "forced"))
+        return exercise_module(*args, **kwargs)
+
+
+class TestStimulusDriver:
+    def test_eligible_design_runs_on_compiled_driver(self, monkeypatch):
+        runner = StimulusRunner(COUNTER_DUT, "cnt")
+        assert isinstance(runner._driver, CompiledSim)
+        args = (COUNTER_DUT, "cnt", COUNTER_VECTORS)
+        assert exercise_module(*args, clk="clk", reset="rst") == \
+            _event_signatures(monkeypatch, *args, clk="clk", reset="rst")
+
+    def test_ineligible_design_runs_on_event_engine(self):
+        runner = StimulusRunner(ADD_FUNCTION, "fn")
+        assert isinstance(runner._driver, testbench._EventDriver)
+        vectors = [{"a": a, "b": b} for a, b in ((0, 0), (15, 15), (7, 9))]
+        assert exercise_module(ADD_FUNCTION, "fn", vectors) == [
+            {"y": "5'h0"}, {"y": "5'h1e"}, {"y": "5'h10"}]
+
+    def test_bail_after_vectors_replays_to_event_signatures(self,
+                                                            monkeypatch):
+        """A bail at the 20th settle (the 6th vector) rebuilds the runner
+        on the event engine mid-run; the signatures are the event
+        driver's, and the runner stays on the event engine."""
+        settles = []
+        real_settle = CompiledSim.settle
+
+        def bail_on_twentieth(sim, max_iters):
+            settles.append(max_iters)
+            if len(settles) == 20:
+                raise XBail("forced")
+            real_settle(sim, max_iters)
+
+        monkeypatch.setattr(CompiledSim, "settle", bail_on_twentieth)
+        runner = StimulusRunner(COUNTER_DUT, "cnt")
+        runner.poke("rst", 1)
+        runner.clock_cycle()
+        runner.poke("rst", 0)
+        runner.settle()
+        rows = [{k: str(v) for k, v in runner.apply(vec, clk="clk").items()}
+                for vec in COUNTER_VECTORS]
+        assert len(settles) == 20
+        assert isinstance(runner._driver, testbench._EventDriver)
+        monkeypatch.undo()
+        assert rows == _event_signatures(monkeypatch, COUNTER_DUT, "cnt",
+                                         COUNTER_VECTORS, clk="clk",
+                                         reset="rst")
+
+    def test_settle_overflow_returns_none(self):
+        runner = StimulusRunner(RUNAWAY, "ri")
+        runner.poke("en", 1)
+        with pytest.raises(HdlError, match="did not settle"):
+            runner.settle()
+        assert isinstance(runner._driver, testbench._EventDriver)
+        assert exercise_module(RUNAWAY, "ri", [{"en": 0}, {"en": 1}]) is None
+
+    def test_step_overflow_returns_none(self, monkeypatch):
+        # A lower ceiling on both engines keeps the runaway loop short.
+        monkeypatch.setattr(compiled, "_MAX_STEPS", 500)
+        monkeypatch.setattr(simulator, "_MAX_STEPS_PER_SLOT", 500)
+        set_default_cache(CompileCache())
+        runner = StimulusRunner(LONG_LOOP, "lp")
+        assert isinstance(runner._driver, CompiledSim)
+        runner.poke("en", 1)
+        with pytest.raises(HdlError, match="runaway"):
+            runner.settle()
+        assert isinstance(runner._driver, testbench._EventDriver)
+        vectors = [{"en": 0, "a": 3}, {"en": 1, "a": 1}]
+        assert exercise_module(LONG_LOOP, "lp", vectors[:1]) == [
+            {"y": "8'h3"}]
+        assert exercise_module(LONG_LOOP, "lp", vectors) is None
+
+    def test_unknown_port_raises_key_error(self):
+        runner = StimulusRunner(COUNTER_DUT, "cnt")
+        with pytest.raises(KeyError):
+            runner.poke("nope", 1)
+        with pytest.raises(KeyError):
+            runner.poke("q", 1)         # an output, not an input
+        with pytest.raises(KeyError):
+            runner.peek("nope")
+        # A clock the design does not have: exercise_module reports a
+        # broken candidate.
+        assert exercise_module(ADD_FUNCTION, "fn", [{"a": 1, "b": 2}],
+                               clk="clk") is None
+        assert exercise_module(COUNTER_DUT, "cnt", COUNTER_VECTORS,
+                               clk="clock") is None
+
+    def test_value_of_uses_the_name_index(self):
+        design = elaborate(parse(COUNTER_DUT), "cnt")
+        program = compile_program(design)
+        sim = CompiledSim(program)
+        assert list(program.meta["index"]) == list(design.signals)
+        assert str(sim.value_of("q")) == "6'bxxxxxx"
+        with pytest.raises(KeyError):
+            sim.value_of("nope")
+
+    def test_identical_programs_compile_once(self, monkeypatch):
+        """Two sources whose text differs but whose design is the same
+        have distinct design keys and one generated program: ``compile``
+        runs once, and each program still gets a namespace of its own."""
+        calls = []
+
+        def counting_compile(*args, **kwargs):
+            calls.append(args[0])
+            return builtins.compile(*args, **kwargs)
+
+        monkeypatch.setattr(compiled, "_CODE", LruCache(8))
+        monkeypatch.setattr(compiled, "compile", counting_compile,
+                            raising=False)
+        cache = CompileCache()
+        first = compile_design(COUNTER_DUT, "cnt", cache=cache)
+        second = compile_design("// same design\n" + COUNTER_DUT, "cnt",
+                                cache=cache)
+        assert first.key != second.key
+        runs = [exercise_module(c, "cnt", COUNTER_VECTORS, clk="clk",
+                                reset="rst", cache=cache)
+                for c in (first, second)]
+        assert runs[0] == runs[1]
+        assert len(calls) == 1
+        programs = [testbench._obtain_program(c, cache)[1]
+                    for c in (first, second)]
+        assert programs[0] is not programs[1]
+        assert programs[0].source == programs[1].source
+        ns = [p.load() for p in programs]
+        assert ns[0] is not ns[1]
+        assert ns[0]["COMB"][0] is not ns[1]["COMB"][0]
+        assert ns[0]["COMB"][0].__code__ is ns[1]["COMB"][0].__code__
 
 
 class TestTelemetry:

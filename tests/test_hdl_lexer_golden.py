@@ -8,7 +8,10 @@ than stored, so each entry also keeps a sha256 of its source: a mismatch
 there means a generator changed, not the lexer.  They are:
 
 * every problem's reference and testbench;
-* every ``.v`` file under ``tests/corpus`` (comments there hold em dashes);
+* every ``.v`` file under ``tests/corpus`` (comments there hold em dashes).
+  These entries pin each file's raw bytes, comments included, through the
+  source sha256 and the seeded mutants below: even a comment-only edit to
+  a corpus file fails the replay, so a corpus edit must re-record;
 * :mod:`repro.fuzz` designs and testbenches at fixed seeds;
 * :class:`~repro.llm.SimulatedLLM` ``generate`` and ``refine`` candidates
   at fixed seeds, malformed ones included;
