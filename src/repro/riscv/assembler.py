@@ -8,7 +8,9 @@ Accepts the textual form the compiler emits (labels, ABI register names,
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .isa import Instruction, SPECS, parse_register
 
@@ -19,10 +21,22 @@ class AsmError(Exception):
         super().__init__(f"[ASM] {message} (line {line})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    instructions: list[Instruction] = field(default_factory=list)
-    labels: dict[str, int] = field(default_factory=dict)
+    """A resolved program; immutable, so ``source`` always describes it."""
+    instructions: Sequence[Instruction] = ()
+    labels: Mapping[str, int] = field(default_factory=dict)
+    # The text :func:`assemble` built this program from; the rig's run memo
+    # keys on it.  Not an __init__ argument, so a hand-built program, or one
+    # made with dataclasses.replace, has none.
+    source: str = field(default="", init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+
+    def __reduce__(self):
+        return _assembled, (self.instructions, dict(self.labels), self.source)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -76,8 +90,8 @@ class Assembler:
         self.source = source
 
     def assemble(self) -> Program:
-        program = Program()
-        pending: list[tuple[Instruction, int]] = []   # needing label resolution
+        instructions: list[Instruction] = []
+        labels: dict[str, int] = {}
         for lineno, raw in enumerate(self.source.splitlines(), start=1):
             line = raw.split("#")[0].split("//")[0].strip()
             if not line:
@@ -87,28 +101,26 @@ class Assembler:
                 label = label.strip()
                 if not label.replace("_", "").replace(".", "").isalnum():
                     raise AsmError(f"bad label '{label}'", lineno)
-                program.labels[label] = len(program.instructions)
+                labels[label] = len(instructions)
                 line = rest.strip()
             if not line:
                 continue
-            for instr in self._parse_line(line, lineno):
-                program.instructions.append(instr)
+            instructions.extend(self._parse_line(line, lineno))
 
         # Resolve labels to instruction-index offsets.
         resolved: list[Instruction] = []
-        for index, instr in enumerate(program.instructions):
+        for index, instr in enumerate(instructions):
             if instr.label is not None:
-                if instr.label not in program.labels:
+                if instr.label not in labels:
                     raise AsmError(f"undefined label '{instr.label}'")
-                target = program.labels[instr.label]
+                target = labels[instr.label]
                 # Branch/jump immediates are *instruction index deltas* × 4.
                 offset = (target - index) * 4
                 resolved.append(dataclasses.replace(instr, imm=offset,
                                                     label=instr.label))
             else:
                 resolved.append(instr)
-        program.instructions = resolved
-        return program
+        return _assembled(resolved, labels, self.source)
 
     def _parse_line(self, line: str, lineno: int) -> list[Instruction]:
         parts = line.split(None, 1)
@@ -205,6 +217,14 @@ class Assembler:
             return [Instruction(mnemonic, rd=parse_register(operands[0]),
                                 label=target)]
         raise AsmError(f"cannot assemble format {fmt}", lineno)
+
+
+def _assembled(instructions: Sequence[Instruction], labels: dict[str, int],
+               source: str) -> Program:
+    """A :class:`Program` that records the text it was assembled from."""
+    program = Program(instructions, labels)
+    object.__setattr__(program, "source", source)
+    return program
 
 
 def assemble(source: str) -> Program:

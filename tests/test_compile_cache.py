@@ -173,8 +173,11 @@ class TestPoisonSafety:
         it, run every consumer on two problems, and re-hash every entry
         still live — nothing may have changed.  The stimulus consumers run
         on the compiled driver, over cached designs and programs and the
-        shared code objects."""
+        shared code objects.  The SLT loops run twice, so the rig's build
+        and run memos hand their entries out again."""
         from repro.hdl import compiled
+        from repro.riscv import fpga
+        from repro.slt import run_gp_slt, run_llm_slt
         stored: dict[tuple, tuple] = {}
         real_put = LruCache.put
 
@@ -194,12 +197,18 @@ class TestPoisonSafety:
         big = 1 << 20   # nothing is evicted, so every entry is re-hashed
         set_default_cache(CompileCache(big, big, big))
         monkeypatch.setattr(compiled, "_CODE", LruCache(big))
+        monkeypatch.setattr(fpga, "_BUILDS", LruCache(big))
+        monkeypatch.setattr(fpga, "_RUNS", LruCache(big))
         _run_every_consumer([get_problem("c1_and4"),
                              get_problem("c2_counter")])
+        for _ in range(2):
+            run_llm_slt(hours=0.07)
+            run_gp_slt(hours=0.07, realistic_only=True)
         layers = {layer for layer, s in get_default_cache().stats().items()
                   if s.lookups}
         assert layers == {"parse", "design", "program", "result"}
         assert len(compiled._CODE) > 0
+        assert fpga._RUNS.stats.hits > 0 and fpga._BUILDS.stats.hits > 0
         assert len(settles) > 100
         changed = [key for lru, key, digest in stored.values()
                    if _digest(lru.get(key)) != digest]

@@ -439,3 +439,153 @@ class TestFpgaMeter:
                                config=CoreConfig(max_instructions=500))
         m = meter.measure_c("int main() { while (1) { } return 0; }")
         assert not m.ok and "timeout" in m.error
+
+
+_LOOP_C = """int main() {
+    int acc = 1;
+    for (int i = 0; i < %d; i++) { acc = acc * 3 + i; }
+    return acc;
+}"""
+
+
+class TestRigMemo:
+    """The rig memoizes builds and core runs; nothing a meter reports may
+    tell a memo hit from a fresh measurement."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memos(self, monkeypatch):
+        from repro.riscv import fpga
+        from repro.store import LruCache
+        monkeypatch.setattr(fpga, "_BUILDS",
+                            LruCache(fpga.RIG_MEMO_CAPACITY))
+        monkeypatch.setattr(fpga, "_RUNS", LruCache(fpga.RIG_MEMO_CAPACITY))
+        return fpga
+
+    @staticmethod
+    def _traffic(meter, before_each=lambda: None):
+        """Repeats, a compile failure, an assemble failure, a timeout
+        fault and a hand-built program, each more than once."""
+        from repro.riscv import Program
+        hand = assemble(compile_program(_LOOP_C % 30))
+        hand = Program(hand.instructions, hand.labels)
+        assert hand.source == ""
+        calls = [("c", _LOOP_C % 20), ("c", _LOOP_C % 50),
+                 ("c", _LOOP_C % 20), ("c", "int main( {"),
+                 ("asm", "bogus x1, x2"), ("c", _LOOP_C % 5000),
+                 ("program", hand), ("c", _LOOP_C % 20),
+                 ("c", "int main( {"), ("c", _LOOP_C % 5000),
+                 ("asm", compile_program(_LOOP_C % 50)),
+                 ("asm", "bogus x1, x2"), ("program", hand),
+                 ("c", _LOOP_C % 50)]
+        readings = []
+        for kind, arg in calls:
+            before_each()
+            measure = {"c": meter.measure_c, "asm": meter.measure_asm,
+                       "program": meter.measure_program}[kind]
+            readings.append(measure(arg))
+        return readings
+
+    def test_memo_changes_no_reading_clock_or_noise(self, _fresh_memos):
+        fpga = _fresh_memos
+        config = CoreConfig(max_instructions=20_000)
+        memo = FpgaPowerMeter(config=config, seed=9)
+        cold = FpgaPowerMeter(config=config, seed=9)
+        hot = self._traffic(memo)
+        assert fpga._RUNS.stats.hits >= 5 and fpga._BUILDS.stats.hits >= 5
+
+        def clear():
+            fpga._BUILDS.clear()
+            fpga._RUNS.clear()
+
+        fresh = self._traffic(cold, before_each=clear)
+        assert hot == fresh
+        assert [m.error.split(":")[0] for m in hot if not m.ok] == \
+            ["compile", "assemble", "[CPU", "compile", "[CPU", "assemble"]
+        assert memo.elapsed_seconds == cold.elapsed_seconds
+        assert memo.measurements == cold.measurements == 10
+        assert memo._rng.getstate() == cold._rng.getstate()
+
+    def test_overridden_measure_program_sees_every_measurement(
+            self, _fresh_memos):
+        class CountingMeter(FpgaPowerMeter):
+            calls = 0
+
+            def measure_program(self, program):
+                self.calls += 1
+                return super().measure_program(program)
+
+        meter = CountingMeter(seed=2)
+        for _ in range(4):
+            assert meter.measure_c(_LOOP_C % 20).ok
+        assert not meter.measure_c("int main( {").ok
+        assert _fresh_memos._RUNS.stats.hits == 3
+        assert meter.calls == meter.measurements == 4
+
+    def test_returned_stats_cannot_poison_the_memo(self, _fresh_memos):
+        meter = FpgaPowerMeter(seed=4)
+        first = meter.measure_c(_LOOP_C % 20).stats
+        pristine = CoreStats(**{**first.__dict__,
+                                "unit_ops": dict(first.unit_ops),
+                                "unit_activity": dict(first.unit_activity)})
+        for stats in (first, meter.measure_c(_LOOP_C % 20).stats):
+            assert stats == pristine
+            stats.instret = -1
+            stats.unit_ops["alu"] = 10 ** 9
+            stats.unit_activity.clear()
+        assert meter.measure_c(_LOOP_C % 20).stats == pristine
+        assert _fresh_memos._RUNS.stats.hits == 2
+
+    def test_an_edited_program_is_not_served_from_the_memo(
+            self, _fresh_memos):
+        import dataclasses
+        import pickle
+        meter = FpgaPowerMeter(seed=5)
+        short = assemble(compile_program(_LOOP_C % 20))
+        long = assemble(compile_program(_LOOP_C % 50))
+        assert meter.measure_program(short).ok
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            short.instructions = long.instructions
+        with pytest.raises(AttributeError):
+            short.instructions.append(long.instructions[0])
+        with pytest.raises(TypeError):
+            short.labels["_start"] = 1
+        edited = dataclasses.replace(short, instructions=long.instructions,
+                                     labels=long.labels)
+        assert edited.source == ""
+        assert meter.measure_program(edited).stats == \
+            Core(meter.config).run(long)
+        assert _fresh_memos._RUNS.stats.hits == 0
+        copy = pickle.loads(pickle.dumps(short))
+        assert copy == short and copy.source == short.source
+        assert meter.measure_program(copy).ok
+        assert _fresh_memos._RUNS.stats.hits == 1
+
+    def test_threads_sharing_the_memo_read_what_a_serial_run_reads(
+            self, _fresh_memos):
+        import sys
+        import threading
+
+        sources = [_LOOP_C % n for n in (10, 20, 30, 40)] * 3
+
+        def readings(seed):
+            meter = FpgaPowerMeter(seed=seed)
+            return [meter.measure_c(src) for src in sources]
+
+        serial = [readings(seed) for seed in range(8)]
+        _fresh_memos._BUILDS.clear()
+        _fresh_memos._RUNS.clear()
+        results: dict[int, list] = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(
+                target=lambda s=seed: results.__setitem__(s, readings(s)))
+                for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [results[seed] for seed in range(8)] == serial
