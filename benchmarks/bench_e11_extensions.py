@@ -36,8 +36,8 @@ def test_e11_guided_debugging(benchmark):
     iters = {True: 0, False: 0}
     # A mid-tier model at high temperature: the regime where debugging help
     # matters (a top model rarely needs more than the first attempt).
-    # Each (seed, problem) cell is independent, so the sweep honours
-    # REPRO_JOBS (results are identical to the serial loop).
+    # Each (seed, problem) cell is independent, so the sweep could fan out
+    # with ``jobs=`` (results are identical to the serial loop).
     total = len(SEEDS) * len(problems)
     for use_x in (True, False):
         sweep = guided_debug_sweep(problems, model="codellama-34b-instruct",

@@ -116,10 +116,9 @@ def evaluate_model(model: str | SimulatedLLM | LLMClient,
     :class:`~repro.llm.client.LLMClient` (strings resolve through
     :func:`repro.llm.client.resolve_client`).  ``jobs``
     fans the (independent, CPU-bound) testbench evaluations out over a
-    worker pool; unset, it falls back to the ``REPRO_JOBS`` environment
-    variable and then to serial.  Generation stays in-process and scoring
-    is a pure function of the candidate text, so the parallel path
-    produces statistics identical to the serial path for a fixed seed.
+    worker pool; unset, evaluation is serial.  Generation stays in-process
+    and scoring is a pure function of the candidate text, so the parallel
+    path produces statistics identical to the serial path for a fixed seed.
     """
     llm = resolve_client(model, seed=seed)
     suite = SuiteEval(model=llm.profile.name, strategy=strategy)

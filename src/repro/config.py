@@ -1,18 +1,17 @@
 """``repro.config`` — one typed reader for every ``REPRO_*`` environment knob.
 
-Before this module each subsystem parsed its own environment variables
-(``repro.exec`` read ``REPRO_JOBS``, ``repro.obs`` read the trace
-switches), each with slightly different falsy conventions and error
-handling.  :class:`Settings` centralizes the parsing with three rules:
+The knobs are ``REPRO_TRACE``, ``REPRO_TRACE_FILE`` and ``REPRO_CRITIC``.
+:class:`Settings` parses them, and the ``jobs`` worker count, with three
+rules:
 
 * accessors read ``os.environ`` **live**, so tests and operators can flip a
-  knob mid-process (matching the pre-existing behaviour of every knob);
-* unparseable non-empty values degrade to the documented default and emit a
-  **one-time** ``RuntimeWarning`` naming the bad value and its source (the
-  behaviour ``REPRO_JOBS`` pioneered, now uniform across all knobs);
+  knob mid-process;
+* an unparseable ``jobs`` argument degrades to serial and emits a
+  **one-time** ``RuntimeWarning`` naming the bad value;
 * boolean knobs share one falsy set (``"", 0, false, no, off`` — case
   insensitive) so ``REPRO_TRACE=off`` and ``REPRO_CRITIC=off`` mean what
-  they say.
+  they say.  :meth:`Settings.env_bool` is public so benchmark options
+  (``REPRO_FULL_EVAL`` in ``benchmarks/_util.py``) share the same set.
 """
 
 from __future__ import annotations
@@ -20,25 +19,14 @@ from __future__ import annotations
 import os
 import warnings
 
-ENV_JOBS = "REPRO_JOBS"
 ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_FILE = "REPRO_TRACE_FILE"
-ENV_FULL_EVAL = "REPRO_FULL_EVAL"
 ENV_CRITIC = "REPRO_CRITIC"
 
 _FALSY = ("", "0", "false", "no", "off")
 
-# One warning per (source, bad value) pair for the process lifetime, shared
-# by every accessor (and aliased by repro.exec.parallel for compatibility).
-_warned_values: set[tuple[str, str]] = set()
-
-
-def _warn_once(source: str, value: str, message: str) -> None:
-    key = (source, value)
-    if key in _warned_values:
-        return
-    _warned_values.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=4)
+# Bad ``jobs`` values already warned about, for the process lifetime.
+_warned_values: set[str] = set()
 
 
 class Settings:
@@ -60,19 +48,14 @@ class Settings:
     # -- worker pools --------------------------------------------------------
 
     def resolve_jobs(self, jobs: int | str | None = None) -> int:
-        """Worker count: explicit argument > ``REPRO_JOBS`` > serial (1).
+        """Worker count from the ``jobs`` argument; ``None`` means serial (1).
 
         ``"auto"`` or any negative value means one worker per CPU.  An
         unparseable value degrades to serial but warns once, naming the bad
-        value and where it came from.
+        value.
         """
-        source = "jobs argument"
         if jobs is None:
-            env = self.env_str(ENV_JOBS)
-            if not env:
-                return 1
-            jobs = env
-            source = f"{ENV_JOBS} environment variable"
+            return 1
         if isinstance(jobs, str):
             if jobs.lower() == "auto":
                 jobs = -1
@@ -80,10 +63,12 @@ class Settings:
                 try:
                     jobs = int(jobs)
                 except ValueError:
-                    _warn_once(
-                        source, jobs,
-                        f"{source} value {jobs!r} is not an integer or "
-                        f"'auto'; falling back to serial evaluation (jobs=1)")
+                    if jobs not in _warned_values:
+                        _warned_values.add(jobs)
+                        warnings.warn(
+                            f"jobs argument value {jobs!r} is not an integer "
+                            f"or 'auto'; falling back to serial evaluation "
+                            f"(jobs=1)", RuntimeWarning, stacklevel=3)
                     return 1
         if jobs < 0:
             return max(1, os.cpu_count() or 1)
@@ -93,7 +78,8 @@ class Settings:
 
     @property
     def trace_enabled(self) -> bool:
-        return self.env_bool(ENV_TRACE, False)
+        """``REPRO_TRACE=1``, or a ``REPRO_TRACE_FILE`` to stream to."""
+        return self.env_bool(ENV_TRACE, False) or bool(self.trace_file)
 
     @property
     def trace_file(self) -> str:
@@ -106,19 +92,11 @@ class Settings:
         """``REPRO_CRITIC=1`` turns on the rule-based candidate critic."""
         return self.env_bool(ENV_CRITIC, False)
 
-    # -- benchmarks ----------------------------------------------------------
-
-    @property
-    def full_eval(self) -> bool:
-        return self.env_bool(ENV_FULL_EVAL, False)
-
     def snapshot(self) -> dict[str, object]:
         """Debug view of every knob (one line in ``repro.flows`` CLI)."""
         return {
-            "jobs": self.resolve_jobs(),
             "trace": self.trace_enabled,
             "trace_file": self.trace_file,
-            "full_eval": self.full_eval,
             "critic": self.critic_enabled,
         }
 

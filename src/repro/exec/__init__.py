@@ -2,12 +2,12 @@
 
 Fans independent, CPU-bound tool invocations (testbench scoring, stimulus
 co-simulation, trojan detection) out over a ``concurrent.futures`` pool
-with deterministic result ordering, per-task timeouts, and a ``REPRO_JOBS``
-environment knob.  See :mod:`repro.exec.parallel`.
+with deterministic result ordering, per-task timeouts, and a ``jobs``
+worker count (serial by default).  See :mod:`repro.exec.parallel`.
 """
 
-from .parallel import (EvaluationTimeout, JOBS_ENV, ParallelEvaluator,
-                       parallel_map, resolve_jobs)
+from .parallel import (EvaluationTimeout, ParallelEvaluator, parallel_map,
+                       resolve_jobs)
 from .scheduler import SweepScheduler, sweep_map
 from .tasks import (agent_run_task, assertion_quality_task,
                     autochip_budget_task, chipchat_task, detect_trojan_task,
@@ -18,7 +18,7 @@ from .tasks import (agent_run_task, assertion_quality_task,
                     vrank_cell_task)
 
 __all__ = [
-    "EvaluationTimeout", "JOBS_ENV", "ParallelEvaluator", "SweepScheduler",
+    "EvaluationTimeout", "ParallelEvaluator", "SweepScheduler",
     "agent_run_task", "assertion_quality_task", "autochip_budget_task",
     "chipchat_task", "detect_trojan_task", "evaluate_candidate_task",
     "exercise_module_task", "guided_debug_task", "hierarchical_task",

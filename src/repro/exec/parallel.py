@@ -12,12 +12,10 @@ evaluations out over a ``concurrent.futures`` pool while guaranteeing:
   with a thread fallback when tasks are not picklable or process spawning is
   unavailable;
 * **per-task timeouts** — a stuck evaluation yields ``timeout_result``
-  instead of wedging the whole sweep;
-* a ``REPRO_JOBS`` environment knob so every flow and benchmark script can
-  be parallelized without threading a parameter through each call site.
+  instead of wedging the whole sweep.
 
-Job resolution order: explicit ``jobs`` argument > ``REPRO_JOBS`` env var >
-serial (1).  ``jobs="auto"`` or any value < 0 means one worker per CPU.
+Workers come from the explicit ``jobs`` argument; unset means serial (1).
+``jobs="auto"`` or any value < 0 means one worker per CPU.
 """
 
 from __future__ import annotations
@@ -29,22 +27,19 @@ from concurrent.futures import (Future, ProcessPoolExecutor,
                                 FutureTimeout)
 from typing import Any, Callable, Iterable, Sequence
 
-from ..config import _warned_values as _warned_bad_jobs
 from ..config import get_settings
 from ..obs import get_metrics, get_tracer
-
-JOBS_ENV = "REPRO_JOBS"
 
 # Grace period for terminated workers to exit before they are SIGKILLed.
 _REAP_GRACE_S = 5.0
 
 
 def resolve_jobs(jobs: int | str | None = None) -> int:
-    """Resolve a worker count from the argument or the environment.
+    """Resolve a worker count from the ``jobs`` argument.
 
     Delegates to :class:`repro.config.Settings`: an unparseable value
     degrades to serial (1) but emits a one-time ``RuntimeWarning`` naming
-    the bad value and where it came from.
+    the bad value.
     """
     return get_settings().resolve_jobs(jobs)
 

@@ -13,9 +13,8 @@ work, thread fallback).
 Determinism: cells are independent by construction (each builds its own
 client from ``(model, seed)``), results return in submission order, and a
 generation is a pure function of its key — so a scheduled sweep's
-statistics are byte-identical to the serial loop.  ``jobs`` resolves
-through the usual chain (argument > ``REPRO_JOBS`` > serial), and the
-serial default *is* the plain loop.
+statistics are byte-identical to the serial loop.  ``jobs`` defaults to
+serial, and the serial default *is* the plain loop.
 
 Checkpointing: when a :func:`repro.store.campaign_scope` is active, the
 scheduler journals every completed cell to the checkpoint store as it lands

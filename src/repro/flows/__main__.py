@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="model profile name (default: gpt-4)")
     add_seed_argument(parser)
     parser.add_argument("--jobs", default=None,
-                        help="worker count or 'auto' (default: REPRO_JOBS)")
+                        help="worker count or 'auto' (default: serial)")
     parser.add_argument("--problems", default=None,
                         help="comma-separated problem ids "
                              "(default: every benchmark problem)")

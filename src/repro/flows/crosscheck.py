@@ -320,8 +320,8 @@ def guided_debug_sweep(problems: list[Problem],
     """Run :func:`guided_debug` over a problem/seed grid.
 
     Each cell is an independent generate-and-repair loop, so with a plain
-    profile name the sweep fans out over ``jobs`` workers (``REPRO_JOBS``
-    when unset); client instances are not picklable and run serially.
+    profile name the sweep fans out over ``jobs`` workers (serial when
+    unset); client instances are not picklable and run serially.
     Results keep the (seed-major) serial ordering either way.
     """
     payloads = [(problem, model, use_crosscheck, max_iterations,

@@ -179,7 +179,7 @@ def detection_sweep(problems: list[Problem], cosim_vectors: int = 64, *,
 
     Every (seed, problem) cell runs the full detector hierarchy
     independently, so the sweep is scheduled over ``jobs`` workers
-    (``REPRO_JOBS`` when unset); aggregation order is fixed, so the result
+    (serial when unset); aggregation order is fixed, so the result
     is identical to the serial sweep.
     """
     from ..exec import SweepScheduler, detect_trojan_task

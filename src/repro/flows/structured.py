@@ -205,8 +205,8 @@ def run_structured_sweep(model: str | SimulatedLLM | LLMClient,
     """Run the structured flow over a problem/seed grid.
 
     Cells are independent, so with a plain profile name they go through the
-    :class:`~repro.exec.SweepScheduler` (``REPRO_JOBS`` when ``jobs`` is
-    unset); client instances are not picklable and run serially.  Result
+    :class:`~repro.exec.SweepScheduler` (serial when ``jobs`` is unset);
+    client instances are not picklable and run serially.  Result
     ordering is seed-major either way.
     """
     cells = [(problem, model, seed)

@@ -73,8 +73,8 @@ def vrank(problem: Problem,
     """Run the full VRank flow on one problem.
 
     Candidate simulations are independent, so both the signature pass and
-    the oracle pass@1 scoring fan out over ``jobs`` workers (``REPRO_JOBS``
-    when unset) with deterministic, submission-ordered results.
+    the oracle pass@1 scoring fan out over ``jobs`` workers (serial when
+    unset) with deterministic, submission-ordered results.
     """
     llm = resolve_client(model, seed=seed)
     task = make_task(problem)

@@ -1316,10 +1316,9 @@ class CompiledSim:
 
         Steps are charged per statement, as in the event engine.  Raises
         :class:`XBail` past ``max_iters`` delta cycles or the step ceiling,
-        where the event driver raises an error, and on ``$finish`` in an
-        edge process, which the event driver does not catch; the caller
-        replays on the event engine.  ``$finish`` in a combinational
-        process does not stop settling.
+        where the event driver raises an error; the caller replays on the
+        event engine.  ``$finish`` ends the process activation and does not
+        stop settling, as in the event driver.
         """
         active = self.active
         V, X = self.V, self.X
@@ -1333,16 +1332,12 @@ class CompiledSim:
                 raise XBail("design did not settle")
             while active:
                 tag, arg = active.popleft()
-                if tag == 0:
-                    try:
-                        comb_fns[arg](self, V, X)
-                    except _CFinish:
-                        pass
-                else:           # 1: only comb and edge processes run here
-                    try:
-                        edge_fns[arg](self, V, X)
-                    except _CFinish:
-                        raise XBail("$finish in an edge process") from None
+                # Only comb (0) and edge (1) processes run here.
+                fn = comb_fns[arg] if tag == 0 else edge_fns[arg]
+                try:
+                    fn(self, V, X)
+                except _CFinish:
+                    pass
                 if self.st > _MAX_STEPS:
                     raise XBail("runaway activity")
             self._apply_nba()

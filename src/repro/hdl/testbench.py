@@ -28,7 +28,7 @@ from .compiled import (CompiledProgram, CompiledSim, UnsupportedDesign,
                        XBail, compile_program)
 from .elaborate import Design
 from .errors import HdlError
-from .simulator import Frame, Simulator
+from .simulator import Frame, Simulator, _Finish
 from .values import Logic
 
 
@@ -232,7 +232,12 @@ class _EventDriver:
                     sim._run_comb(item[1])
                 elif tag == "edge":
                     proc = processes[item[1]]
-                    sim._exec_sync(proc.body, Frame(proc.scope))
+                    try:
+                        sim._exec_sync(proc.body, Frame(proc.scope))
+                    except _Finish:
+                        # As in a comb process: the activation ends and
+                        # settling goes on.
+                        pass
                 # Coroutine activity ("start", "restart", "resume") is
                 # ignored by the direct driver.
             sim._apply_nba()

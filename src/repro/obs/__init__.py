@@ -16,11 +16,10 @@ loops spend their time.  This package provides:
 * :mod:`repro.obs.report` — renders a run summary table from any of the
   above (imported lazily: ``from repro.obs import report``).
 
-Tracing is **off by default** (``REPRO_TRACE=0``): the disabled tracer
-hands out one shared no-op span and emits nothing, so all experiment
-statistics stay byte-identical to an uninstrumented build.  Set
-``REPRO_TRACE=1`` to trace into memory, plus ``REPRO_TRACE_FILE=path``
-to stream a JSONL trace.
+Tracing is **off by default**: the disabled tracer hands out one shared
+no-op span and emits nothing, so all experiment statistics stay
+byte-identical to an uninstrumented build.  Set ``REPRO_TRACE=1`` to trace
+into memory, or ``REPRO_TRACE_FILE=path`` to stream a JSONL trace.
 """
 
 from __future__ import annotations
@@ -28,16 +27,14 @@ from __future__ import annotations
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       get_metrics, reset_metrics)
 from .sinks import InMemorySink, JsonlSink, NullSink, Sink, read_jsonl
-from .trace import (NOOP_SPAN, Span, TRACE_ENV, TRACE_FILE_ENV, Tracer,
-                    get_tracer, install_tracer, reset_tracer,
-                    tracing_enabled)
+from .trace import (NOOP_SPAN, Span, Tracer, get_tracer, install_tracer,
+                    reset_tracer)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "InMemorySink", "JsonlSink",
-    "MetricsRegistry", "NOOP_SPAN", "NullSink", "Sink", "Span", "TRACE_ENV",
-    "TRACE_FILE_ENV", "Tracer", "enabled", "flush_metrics", "get_metrics",
-    "get_tracer", "install_tracer", "read_jsonl", "reset_metrics",
-    "reset_tracer", "span", "tracing_enabled",
+    "MetricsRegistry", "NOOP_SPAN", "NullSink", "Sink", "Span", "Tracer",
+    "enabled", "flush_metrics", "get_metrics", "get_tracer", "install_tracer",
+    "read_jsonl", "reset_metrics", "reset_tracer", "span",
 ]
 
 

@@ -8,10 +8,11 @@ via a per-thread stack, and finished spans stream to a pluggable sink.
 Design constraints:
 
 * **zero dependencies** — stdlib only;
-* **no-op by default** — ``REPRO_TRACE`` is unset/0 unless the operator
-  opts in, and a disabled tracer hands out a shared immutable no-op span,
-  so instrumentation never perturbs experiment statistics (tracing code
-  touches no RNG and allocates nothing on the disabled path);
+* **no-op by default** — tracing is off unless the operator sets
+  ``REPRO_TRACE`` or ``REPRO_TRACE_FILE``, and a disabled tracer hands out
+  a shared immutable no-op span, so instrumentation never perturbs
+  experiment statistics (tracing code touches no RNG and allocates nothing
+  on the disabled path);
 * **monotonic clocks** — span timing uses ``time.monotonic`` so wall-clock
   adjustments cannot produce negative durations.
 """
@@ -25,16 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .sinks import InMemorySink, JsonlSink, NullSink, Sink
-
-TRACE_ENV = "REPRO_TRACE"
-TRACE_FILE_ENV = "REPRO_TRACE_FILE"
-
-
-def tracing_enabled() -> bool:
-    """True when the environment opts into tracing (default: off)."""
-    from ..config import get_settings
-    return get_settings().trace_enabled
-
 
 @dataclass
 class Span:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import (ENV_JOBS, Settings, get_settings,
+from repro.config import (ENV_TRACE, ENV_TRACE_FILE, Settings, get_settings,
                           reset_warned_values)
 
 
@@ -33,47 +33,73 @@ class TestGenericAccessors:
 
 
 class TestResolveJobs:
-    def test_argument_beats_environment(self, monkeypatch, settings):
-        monkeypatch.setenv(ENV_JOBS, "7")
-        assert settings.resolve_jobs(2) == 2
-        assert settings.resolve_jobs(None) == 7
-
     def test_auto_uses_cpu_count(self, settings):
         import os
         assert settings.resolve_jobs("auto") == max(1, os.cpu_count() or 1)
         assert settings.resolve_jobs(-1) == max(1, os.cpu_count() or 1)
 
-    def test_bad_value_degrades_to_serial_with_warning(self, monkeypatch,
-                                                       settings):
-        monkeypatch.setenv(ENV_JOBS, "lots")
+    def test_bad_value_degrades_to_serial_with_warning(self, settings):
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            assert settings.resolve_jobs(None) == 1
+            assert settings.resolve_jobs("lots") == 1
 
 
 class TestSnapshot:
     def test_snapshot_covers_every_knob(self, settings):
-        assert set(settings.snapshot()) == {
-            "jobs", "trace", "trace_file", "full_eval", "critic"}
+        assert set(settings.snapshot()) == {"trace", "trace_file", "critic"}
 
 
 class TestFullEval:
-    def test_bench_budgets_follow_settings(self, monkeypatch, settings):
-        """The benches read ``REPRO_FULL_EVAL`` through the same reader
-        as ``Settings.snapshot()``, so every truthy spelling counts."""
+    def test_bench_budgets_follow_settings(self, monkeypatch):
+        """``REPRO_FULL_EVAL`` is a benchmark option outside ``Settings``,
+        read with the shared falsy set: every spelling means the same."""
         import importlib.util
         from pathlib import Path
         path = Path(__file__).resolve().parents[1] / "benchmarks" / "_util.py"
         spec = importlib.util.spec_from_file_location("bench_util", path)
         util = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(util)
-        for raw, expected in (("true", True), ("1", True), ("off", False),
-                              ("", False)):
+        for raw in ("1", "true", "YES", "on", "anything"):
             monkeypatch.setenv("REPRO_FULL_EVAL", raw)
-            assert util.full_eval() is expected
-            assert settings.snapshot()["full_eval"] is expected
+            assert util.full_eval() is True
+        for raw in ("", "0", "false", "No", "OFF", " off "):
+            monkeypatch.setenv("REPRO_FULL_EVAL", raw)
+            assert util.full_eval() is False
+        monkeypatch.delenv("REPRO_FULL_EVAL")
+        assert util.full_eval() is False
+
+
+class TestTraceFile:
+    def test_trace_file_alone_streams_jsonl(self, monkeypatch, tmp_path):
+        """A trace file turns tracing on by itself."""
+        from repro import obs
+
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.delenv(ENV_TRACE, raising=False)
+        monkeypatch.setenv(ENV_TRACE_FILE, str(path))
+        assert get_settings().snapshot()["trace"] is True
+        obs.reset_tracer()
+        try:
+            with obs.span("from-file"):
+                pass
+        finally:
+            obs.reset_tracer()
+        [record] = obs.read_jsonl(str(path))
+        assert record["name"] == "from-file"
 
 
 class TestRetiredKnobs:
+    def test_retired_jobs_knob_is_inert(self, monkeypatch, settings):
+        """Worker counts come from the ``jobs`` argument alone: the
+        retired environment knob neither fans out nor shows in the
+        snapshot."""
+        from repro.exec import ParallelEvaluator, SweepScheduler
+
+        monkeypatch.setenv("REPRO_" + "JOBS", "4")
+        assert ParallelEvaluator().jobs == 1
+        assert SweepScheduler().jobs == 1
+        assert ParallelEvaluator(2).jobs == 2
+        assert len(settings.snapshot()) == 3
+
     def test_retired_cache_knobs_are_inert(self, monkeypatch):
         """The compile cache is always on at fixed capacities: setting the
         three retired knobs to 0 neither disables it nor shrinks it."""

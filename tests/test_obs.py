@@ -7,15 +7,15 @@ import threading
 import pytest
 
 from repro import obs
+from repro.config import ENV_TRACE, ENV_TRACE_FILE
 from repro.obs import report as obs_report
-from repro.obs.trace import TRACE_ENV, TRACE_FILE_ENV
 
 
 @pytest.fixture(autouse=True)
 def _isolated_tracer(monkeypatch):
     """Each test starts from the env-default tracer and a clean registry."""
-    monkeypatch.delenv(TRACE_ENV, raising=False)
-    monkeypatch.delenv(TRACE_FILE_ENV, raising=False)
+    monkeypatch.delenv(ENV_TRACE, raising=False)
+    monkeypatch.delenv(ENV_TRACE_FILE, raising=False)
     obs.reset_tracer()
     obs.reset_metrics()
     yield
@@ -94,8 +94,8 @@ class TestTracer:
 
     def test_env_knobs_build_jsonl_tracer(self, monkeypatch, tmp_path):
         path = tmp_path / "trace.jsonl"
-        monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(TRACE_FILE_ENV, str(path))
+        monkeypatch.setenv(ENV_TRACE, "1")
+        monkeypatch.setenv(ENV_TRACE_FILE, str(path))
         obs.reset_tracer()
         with obs.span("from-env", tag="t"):
             pass
@@ -216,8 +216,8 @@ class TestEndToEndTrace:
             set_default_cache
 
         path = tmp_path / "agent.jsonl"
-        monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(TRACE_FILE_ENV, str(path))
+        monkeypatch.setenv(ENV_TRACE, "1")
+        monkeypatch.setenv(ENV_TRACE_FILE, str(path))
         obs.reset_tracer()
         obs.reset_metrics()
         old_cache = get_default_cache()
@@ -270,7 +270,7 @@ class TestEndToEndTrace:
                       for s in p.samples]) for p in suite.problems]
 
         problems = all_problems()[:2]
-        monkeypatch.setenv(TRACE_ENV, "0")
+        monkeypatch.setenv(ENV_TRACE, "0")
         obs.reset_tracer()
         set_default_cache(CompileCache())
         untraced = signature(evaluate_model("gpt-4", problems, k=2, seed=9))

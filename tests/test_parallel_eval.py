@@ -7,8 +7,9 @@ import time
 import pytest
 
 from repro.bench import all_problems, evaluate_model
-from repro.exec import (EvaluationTimeout, JOBS_ENV, ParallelEvaluator,
-                        parallel_map, resolve_jobs)
+from repro.config import reset_warned_values
+from repro.exec import (EvaluationTimeout, ParallelEvaluator, parallel_map,
+                        resolve_jobs)
 from repro.hdl import CompileCache, get_default_cache, set_default_cache
 
 
@@ -36,30 +37,13 @@ def _fresh_default_cache():
 
 
 class TestJobsResolution:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
+    def test_default_is_serial(self):
         assert resolve_jobs() == 1
-
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert resolve_jobs() == 3
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert resolve_jobs(2) == 2
 
     def test_auto_uses_cpu_count(self):
         import os
         assert resolve_jobs("auto") == max(1, os.cpu_count() or 1)
         assert resolve_jobs(-1) == max(1, os.cpu_count() or 1)
-
-    def test_garbage_env_degrades_to_serial(self, monkeypatch):
-        from repro.exec.parallel import _warned_bad_jobs
-
-        monkeypatch.setenv(JOBS_ENV, "lots")
-        _warned_bad_jobs.discard(("REPRO_JOBS environment variable", "lots"))
-        with pytest.warns(RuntimeWarning):
-            assert resolve_jobs() == 1
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -135,28 +119,21 @@ class TestTimeouts:
 
 
 class TestBadJobsWarning:
-    def test_garbage_env_warns_once_naming_value(self, monkeypatch):
+    def test_garbage_value_warns_once_naming_value(self):
         import warnings as warnings_mod
 
-        from repro.exec.parallel import _warned_bad_jobs
-
-        monkeypatch.setenv(JOBS_ENV, "garbage-49")
-        _warned_bad_jobs.discard(
-            ("REPRO_JOBS environment variable", "garbage-49"))
+        reset_warned_values()
         with pytest.warns(RuntimeWarning, match="garbage-49") as caught:
-            assert resolve_jobs() == 1
+            assert ParallelEvaluator("garbage-49").jobs == 1
         assert len(caught) == 1
-        assert "REPRO_JOBS" in str(caught[0].message)
         # Deduplicated: the same bad value never warns twice.
         with warnings_mod.catch_warnings(record=True) as again:
             warnings_mod.simplefilter("always")
-            assert resolve_jobs() == 1
+            assert resolve_jobs("garbage-49") == 1
         assert not again
 
     def test_garbage_argument_warns_with_source(self):
-        from repro.exec.parallel import _warned_bad_jobs
-
-        _warned_bad_jobs.discard(("jobs argument", "many"))
+        reset_warned_values()
         with pytest.warns(RuntimeWarning, match="jobs argument"):
             assert resolve_jobs("many") == 1
 

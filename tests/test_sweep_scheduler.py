@@ -32,8 +32,7 @@ class TestSweepScheduler:
         cells = [5, 1, 4, 2]
         assert sweep_map(_square, cells, jobs=2) == [25, 1, 16, 4]
 
-    def test_jobs_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    def test_jobs_default_is_serial(self):
         scheduler = SweepScheduler()
         assert scheduler.jobs == 1
 
