@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..exec import ParallelEvaluator, evaluate_candidate_task
+from ..exec import ParallelEvaluator
 from ..hdl import run_testbench
 from ..hdl.testbench import TestbenchResult
 from ..llm.client import LLMClient, resolve_client
@@ -41,6 +41,12 @@ def evaluate_candidate(problem: Problem, candidate_source: str,
     """
     return run_testbench(candidate_source, problem.tb_name,
                          max_time=max_time, tb_source=problem.testbench)
+
+
+def evaluate_candidate_task(payload: tuple) -> TestbenchResult:
+    """``(problem, candidate_source, max_time) -> TestbenchResult``."""
+    problem, source, max_time = payload
+    return evaluate_candidate(problem, source, max_time=max_time)
 
 
 @dataclass
@@ -107,9 +113,8 @@ def evaluate_model(model: str | SimulatedLLM | LLMClient,
                    problems: list[Problem],
                    k: int = 1, temperature: float = 0.7,
                    strategy: PromptStrategy = PromptStrategy.DIRECT,
-                   *, seed: int = 0, jobs: int | str | None = None,
-                   mode: str = "auto",
-                   timeout: float | None = None) -> SuiteEval:
+                   *, seed: int = 0,
+                   jobs: int | str | None = None) -> SuiteEval:
     """Sample ``k`` candidates per problem and score them all.
 
     ``model`` may be a profile name, a raw :class:`SimulatedLLM`, or any
@@ -133,7 +138,7 @@ def evaluate_model(model: str | SimulatedLLM | LLMClient,
                 generations.append([llm.generate(task, prompt, temperature,
                                                  sample_index=i)
                                     for i in range(k)])
-        evaluator = ParallelEvaluator(jobs, mode=mode, timeout=timeout)
+        evaluator = ParallelEvaluator(jobs)
         payloads = [(problem, gen.text, 200_000)
                     for problem, gens in zip(problems, generations)
                     for gen in gens]

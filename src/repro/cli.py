@@ -20,8 +20,6 @@ import argparse
 import os
 import sys
 
-from .config import get_settings
-
 #: Checkpoint directory of a bare ``--store``.
 DEFAULT_STORE_DIR = ".repro-store"
 
@@ -95,8 +93,3 @@ def run(main_body, args: argparse.Namespace) -> int:
         return main_body(args)
     except CliError as exc:
         return fail(str(exc))
-
-
-def settings_summary() -> str:
-    """One-line settings echo some CLIs print under ``--verbose``."""
-    return " ".join(f"{k}={v}" for k, v in get_settings().snapshot().items())

@@ -1,32 +1,28 @@
 """``repro.config`` — one typed reader for every ``REPRO_*`` environment knob.
 
-The knobs are ``REPRO_TRACE``, ``REPRO_TRACE_FILE`` and ``REPRO_CRITIC``.
-:class:`Settings` parses them, and the ``jobs`` worker count, with three
-rules:
+The knobs are ``REPRO_TRACE``, ``REPRO_TRACE_FILE`` and ``REPRO_CRITIC``,
+and :class:`Settings` reads only them, with two rules:
 
 * accessors read ``os.environ`` **live**, so tests and operators can flip a
   knob mid-process;
-* an unparseable ``jobs`` argument degrades to serial and emits a
-  **one-time** ``RuntimeWarning`` naming the bad value;
 * boolean knobs share one falsy set (``"", 0, false, no, off`` — case
   insensitive) so ``REPRO_TRACE=off`` and ``REPRO_CRITIC=off`` mean what
   they say.  :meth:`Settings.env_bool` is public so benchmark options
   (``REPRO_FULL_EVAL`` in ``benchmarks/_util.py``) share the same set.
+
+The ``jobs`` worker count is an argument, not a knob; it is resolved by
+:func:`repro.exec.resolve_jobs`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 
 ENV_TRACE = "REPRO_TRACE"
 ENV_TRACE_FILE = "REPRO_TRACE_FILE"
 ENV_CRITIC = "REPRO_CRITIC"
 
 _FALSY = ("", "0", "false", "no", "off")
-
-# Bad ``jobs`` values already warned about, for the process lifetime.
-_warned_values: set[str] = set()
 
 
 class Settings:
@@ -44,35 +40,6 @@ class Settings:
     @staticmethod
     def env_str(name: str, default: str = "") -> str:
         return os.environ.get(name, default).strip()
-
-    # -- worker pools --------------------------------------------------------
-
-    def resolve_jobs(self, jobs: int | str | None = None) -> int:
-        """Worker count from the ``jobs`` argument; ``None`` means serial (1).
-
-        ``"auto"`` or any negative value means one worker per CPU.  An
-        unparseable value degrades to serial but warns once, naming the bad
-        value.
-        """
-        if jobs is None:
-            return 1
-        if isinstance(jobs, str):
-            if jobs.lower() == "auto":
-                jobs = -1
-            else:
-                try:
-                    jobs = int(jobs)
-                except ValueError:
-                    if jobs not in _warned_values:
-                        _warned_values.add(jobs)
-                        warnings.warn(
-                            f"jobs argument value {jobs!r} is not an integer "
-                            f"or 'auto'; falling back to serial evaluation "
-                            f"(jobs=1)", RuntimeWarning, stacklevel=3)
-                    return 1
-        if jobs < 0:
-            return max(1, os.cpu_count() or 1)
-        return max(1, jobs)
 
     # -- observability -------------------------------------------------------
 
@@ -108,7 +75,3 @@ def get_settings() -> Settings:
     """The process-wide settings reader."""
     return _settings
 
-
-def reset_warned_values() -> None:
-    """Forget which bad values already warned (tests only)."""
-    _warned_values.clear()

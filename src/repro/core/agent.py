@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..bench.problems import Problem
 from ..engine import Budget, RunRecord
+from ..exec import SweepScheduler
 from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..obs import flush_metrics, get_tracer
@@ -165,6 +166,16 @@ class AgentSweep:
         return {stage: sum(v) / len(v) for stage, v in sorted(counts.items())}
 
 
+def agent_run_task(payload: tuple) -> AgentRunReport:
+    """``(problem, model, enable_feedback, seed) -> AgentRunReport`` — one
+    cell of an agent sweep."""
+    problem, model, enable_feedback, seed = payload
+    agent = EdaAgent(AgentConfig(model=model,
+                                 enable_feedback=enable_feedback),
+                     seed=seed)
+    return agent.run(problem)
+
+
 def run_agent_sweep(problems: list[Problem],
                     model: str | SimulatedLLM | LLMClient = "gpt-4o",
                     enable_feedback: bool = True, *,
@@ -179,7 +190,6 @@ def run_agent_sweep(problems: list[Problem],
     cells = [(problem, model, enable_feedback, seed)
              for seed in seeds for problem in problems]
     if isinstance(model, str):
-        from ..exec import SweepScheduler, agent_run_task
         return AgentSweep(SweepScheduler(jobs).map(agent_run_task, cells))
     sweep = AgentSweep()
     for problem, _, _, seed in cells:

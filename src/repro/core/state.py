@@ -67,14 +67,6 @@ class DesignState:
     def stage_succeeded(self, stage: str) -> bool:
         return any(r.stage == stage and r.success for r in self.history)
 
-    @property
-    def completed_stages(self) -> list[str]:
-        return [r.stage for r in self.history if r.success]
-
-    @property
-    def failed_stages(self) -> list[str]:
-        return [r.stage for r in self.history if not r.success]
-
     def modalities_present(self) -> list[str]:
         out = ["spec"]
         if self.c_source:

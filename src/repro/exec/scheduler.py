@@ -6,9 +6,8 @@ calls) and *evaluation* (tool calls, CPU-bound, ideally spread across
 cores).  A serial sweep interleaves the two phases one cell at a time, so
 neither resource is ever saturated.
 
-:class:`SweepScheduler` schedules whole cells concurrently under the
-:class:`ParallelEvaluator`'s ``auto`` policy (process pool for CPU-bound
-work, thread fallback).
+:class:`SweepScheduler` schedules whole cells concurrently on the
+:class:`ParallelEvaluator`'s fork process pool.
 
 Determinism: cells are independent by construction (each builds its own
 client from ``(model, seed)``), results return in submission order, and a
@@ -37,35 +36,26 @@ from .parallel import ParallelEvaluator
 class SweepScheduler:
     """Order-preserving map over sweep cells; see the module docstring."""
 
-    def __init__(self, jobs: int | str | None = None,
-                 timeout: float | None = None):
-        self.evaluator = ParallelEvaluator(jobs, timeout=timeout)
+    def __init__(self, jobs: int | str | None = None):
+        self.evaluator = ParallelEvaluator(jobs)
 
     @property
     def jobs(self) -> int:
         return self.evaluator.jobs
 
-    @property
-    def mode(self) -> str:
-        return self.evaluator.mode
-
-    def map(self, fn: Callable[[Any], Any], cells: Iterable[Any],
-            timeout_result: Callable[[Any], Any] | None = None) -> list[Any]:
+    def map(self, fn: Callable[[Any], Any], cells: Iterable[Any]) -> list[Any]:
         """Run every cell; results in submission order."""
         work = list(cells)
         tracer = get_tracer()
         journal = current_journal()
-        with tracer.span("exec.sweep", cells=len(work), jobs=self.jobs,
-                         mode=self.mode) as sp:
+        with tracer.span("exec.sweep", cells=len(work), jobs=self.jobs) as sp:
             get_metrics().counter("exec.sweep_cells").add(len(work))
             if journal is None:
-                return self.evaluator.map(fn, work,
-                                          timeout_result=timeout_result)
-            return self._checkpointed(fn, work, timeout_result, journal, sp)
+                return self.evaluator.map(fn, work)
+            return self._checkpointed(fn, work, journal, sp)
 
     def _checkpointed(self, fn: Callable[[Any], Any], work: list[Any],
-                      timeout_result, journal: CampaignJournal,
-                      span) -> list[Any]:
+                      journal: CampaignJournal, span) -> list[Any]:
         label = getattr(fn, "__qualname__", None) or str(fn)
         keys = [("cell", label, index, content_key(cell))
                 for index, cell in enumerate(work)]
@@ -80,26 +70,10 @@ class SweepScheduler:
             results[index] = result
 
         if pending:
-            fresh = self.evaluator.map(fn, [cell for _, cell in pending],
-                                       timeout_result=timeout_result,
-                                       on_result=checkpoint)
-            # Timeout placeholders bypass the checkpoint hook (an execution
-            # accident must not be journaled as a cell outcome); fill their
-            # slots from the returned list.
-            for (index, _cell), result in zip(pending, fresh):
-                if results[index] is MISS:
-                    results[index] = result
+            self.evaluator.map(fn, [cell for _, cell in pending],
+                               on_result=checkpoint)
         restored = len(work) - len(pending)
         span.set(restored=restored)
         if restored and get_tracer().enabled:
             get_metrics().counter("exec.sweep_cells_restored").add(restored)
         return results
-
-
-def sweep_map(fn: Callable[[Any], Any], cells: Iterable[Any],
-              jobs: int | str | None = None,
-              timeout: float | None = None,
-              timeout_result: Callable[[Any], Any] | None = None) -> list:
-    """One-shot convenience wrapper around :class:`SweepScheduler`."""
-    return SweepScheduler(jobs, timeout=timeout).map(
-        fn, cells, timeout_result=timeout_result)

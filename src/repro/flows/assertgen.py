@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from ..bench.harness import make_task
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..exec import SweepScheduler
 from ..hdl.testbench import exercise_module
 from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM, _stable_seed
@@ -202,17 +203,18 @@ class AssertionSweep:
     results: list[AssertionReport] = field(default_factory=list)
 
     @property
-    def mean_validity(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(r.validity for r in self.results) / len(self.results)
-
-    @property
     def mean_kill_rate(self) -> float:
         if not self.results:
             return 0.0
         return sum(r.mutant_kill_rate
                    for r in self.results) / len(self.results)
+
+
+def assertion_quality_task(payload: tuple) -> AssertionReport:
+    """``(problem, model, seed) -> AssertionReport`` — one assertion-quality
+    cell."""
+    problem, model, seed = payload
+    return assertion_quality(problem, model, seed=seed)
 
 
 def assertion_sweep(problems: list[Problem],
@@ -223,7 +225,6 @@ def assertion_sweep(problems: list[Problem],
     cells = [(problem, model, seed)
              for seed in seeds for problem in problems]
     if isinstance(model, str):
-        from ..exec import SweepScheduler, assertion_quality_task
         return AssertionSweep(
             SweepScheduler(jobs).map(assertion_quality_task, cells))
     sweep = AssertionSweep()

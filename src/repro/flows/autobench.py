@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from ..bench.harness import make_task
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..exec import SweepScheduler
 from ..hdl import parse_module
 from ..hdl.elaborate import eval_const
 from ..hdl.testbench import exercise_module
@@ -266,6 +267,14 @@ class AutoBenchSweep:
                    for r in self.results) / len(self.results)
 
 
+def testbench_quality_task(payload: tuple) -> TbQualityReport:
+    """``(problem, model, self_correct, seed) -> TbQualityReport`` — one
+    generated-testbench quality cell."""
+    problem, model, self_correct, seed = payload
+    return testbench_quality(problem, model, seed=seed,
+                             self_correct=self_correct)
+
+
 def autobench_sweep(problems: list[Problem],
                     model: str | SimulatedLLM | LLMClient = "gpt-4", *,
                     self_correct: bool = False,
@@ -275,7 +284,6 @@ def autobench_sweep(problems: list[Problem],
     cells = [(problem, model, self_correct, seed)
              for seed in seeds for problem in problems]
     if isinstance(model, str):
-        from ..exec import SweepScheduler, testbench_quality_task
         return AutoBenchSweep(
             SweepScheduler(jobs).map(testbench_quality_task, cells))
     sweep = AutoBenchSweep()

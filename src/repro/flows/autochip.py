@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bench.harness import make_task
+from ..bench.harness import evaluate_candidate_task, make_task
 from ..bench.problems import Problem
 from ..engine import (Budget, RefinementEngine, RoundLog, RoundState,
                       RunRecord, Selection, rank_by_score)
-from ..exec import (ParallelEvaluator, SweepScheduler, autochip_budget_task,
-                    evaluate_candidate_task)
+from ..exec import ParallelEvaluator, SweepScheduler
 from ..hdl.testbench import TestbenchResult
 from ..llm.client import LLMClient, resolve_client
 from ..llm.model import Generation, SimulatedLLM
@@ -189,6 +188,17 @@ class BudgetComparison:
         return (f"{self.model}: breadth={self.breadth_success:.2f} "
                 f"depth={self.depth_success:.2f} "
                 f"gain={self.feedback_gain:+.2f}")
+
+
+def autochip_budget_task(payload: tuple) -> AutoChipResult:
+    """``(problem, model, k, depth, temperature, seed) -> AutoChipResult`` —
+    one cell of a ``compare_budgets`` grid (fresh client per cell: a
+    ``SimulatedLLM`` generation depends only on its key, and result token
+    counts are per-run deltas, so per-cell clients match the shared-client
+    serial loop)."""
+    problem, model, k, depth, temperature, seed = payload
+    return run_autochip(problem, model, k=k, depth=depth,
+                        temperature=temperature, seed=seed)
 
 
 def compare_budgets(model: str | SimulatedLLM | LLMClient,

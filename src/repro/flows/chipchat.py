@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from ..bench.harness import evaluate_candidate, make_task
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..exec import SweepScheduler
 from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..llm.prompts import PromptStrategy
@@ -152,6 +153,12 @@ class TapeoutReport:
                 f"mean human feedback turns: {self.mean_human_turns:.1f}")
 
 
+def chipchat_task(payload: tuple) -> ChipChatResult:
+    """``(problem, model, seed) -> ChipChatResult`` — one Chip-Chat block."""
+    problem, model, seed = payload
+    return ChipChatSession(resolve_client(model, seed=seed)).run(problem)
+
+
 def run_chipchat_tapeout(problems: list[Problem],
                          model: str | SimulatedLLM | LLMClient = "gpt-4", *,
                          seed: int = 0,
@@ -164,7 +171,6 @@ def run_chipchat_tapeout(problems: list[Problem],
     ``problems`` either way.
     """
     if isinstance(model, str):
-        from ..exec import SweepScheduler, chipchat_task
         cells = [(problem, model, seed) for problem in problems]
         return TapeoutReport(SweepScheduler(jobs).map(chipchat_task, cells))
     llm = resolve_client(model, seed=seed)

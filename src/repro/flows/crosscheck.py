@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from ..bench.harness import evaluate_candidate, make_task
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..exec import SweepScheduler
 from ..hdl.testbench import exercise_module
 from ..hls.cparser import cparse
 from ..hls.interp import CRuntimeError, Machine
@@ -311,6 +312,16 @@ class GuidedDebugSweep:
         return sum(r.success for r in self.results) / len(self.results)
 
 
+def guided_debug_task(payload: tuple) -> GuidedDebugResult:
+    """``(problem, model, use_crosscheck, max_iterations, temperature,
+    seed) -> GuidedDebugResult`` — one cell of a guided-debugging sweep."""
+    problem, model, use_crosscheck, max_iterations, temperature, seed = payload
+    return guided_debug(problem, resolve_client(model, seed=seed),
+                        use_crosscheck=use_crosscheck,
+                        max_iterations=max_iterations,
+                        temperature=temperature, seed=seed)
+
+
 def guided_debug_sweep(problems: list[Problem],
                        model: str | SimulatedLLM | LLMClient = "gpt-4",
                        use_crosscheck: bool = True,
@@ -329,7 +340,6 @@ def guided_debug_sweep(problems: list[Problem],
                 for seed in seeds for problem in problems
                 if supports_crosscheck(problem) or not use_crosscheck]
     if isinstance(model, str):
-        from ..exec import SweepScheduler, guided_debug_task
         return GuidedDebugSweep(
             SweepScheduler(jobs).map(guided_debug_task, payloads))
     sweep = GuidedDebugSweep()

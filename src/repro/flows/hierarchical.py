@@ -21,6 +21,7 @@ from ..bench.harness import evaluate_candidate, make_task
 from ..bench.problems import Problem
 from ..engine import (Budget, RefinementEngine, RoundState, RunRecord,
                       Selection, rank_by_score)
+from ..exec import SweepScheduler
 from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..llm.prompts import Prompt, PromptStrategy
@@ -102,11 +103,12 @@ class HierarchicalSweep:
             else (lambda r: r.direct_success)
         return sum(key(r) for r in self.results) / len(self.results)
 
-    @property
-    def mean_lift(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(r.lift for r in self.results) / len(self.results)
+
+def hierarchical_task(payload: tuple) -> HierarchicalResult:
+    """``(problem, model, seed) -> HierarchicalResult`` — one cell of a
+    hierarchical-vs-direct sweep."""
+    problem, model, seed = payload
+    return run_hierarchical(problem, model, seed=seed)
 
 
 def hierarchical_sweep(problems: list[Problem],
@@ -118,7 +120,6 @@ def hierarchical_sweep(problems: list[Problem],
     cells = [(problem, model, seed)
              for seed in seeds for problem in problems]
     if isinstance(model, str):
-        from ..exec import SweepScheduler, hierarchical_task
         return HierarchicalSweep(
             SweepScheduler(jobs).map(hierarchical_task, cells))
     sweep = HierarchicalSweep()

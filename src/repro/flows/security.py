@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 from ..bench.harness import evaluate_candidate
 from ..bench.problems import Problem
+from ..config import get_settings
+from ..exec import SweepScheduler
 from ..hdl import parse_module
 from ..hdl.testbench import exercise_module
 from ..llm.model import _stable_seed
@@ -172,6 +174,29 @@ def detect_with_cec(problem: Problem,
                            "exhaustive" if result.exhaustive else "random")
 
 
+def detect_trojan_task(payload: tuple) -> dict[str, bool] | None:
+    """``(problem, seed, cosim_vectors) -> dict[str, bool] | None``.
+
+    Runs the full detector hierarchy for one compromised design; ``None``
+    when the trojan insertion pattern does not apply to the problem.
+    """
+    problem, seed, cosim_vectors = payload
+    design = insert_trojan(problem, seed=seed)
+    if design is None:
+        return None
+    cell = {
+        "testbench": detect_with_testbench(problem, design).detected,
+        "random_cosim": detect_with_random_cosim(
+            problem, design, vectors=cosim_vectors, seed=seed).detected,
+        "exhaustive_cec": detect_with_cec(problem, design).detected,
+    }
+    # Workers inherit REPRO_CRITIC (fork), so the gate matches the parent:
+    # the default-config cell dict stays golden-identical.
+    if get_settings().critic_enabled:
+        cell["critic"] = detect_with_critic(problem, design).detected
+    return cell
+
+
 def detection_sweep(problems: list[Problem], cosim_vectors: int = 64, *,
                     seeds: tuple[int, ...] = (0, 1, 2),
                     jobs: int | str | None = None) -> dict[str, float]:
@@ -182,7 +207,6 @@ def detection_sweep(problems: list[Problem], cosim_vectors: int = 64, *,
     (serial when unset); aggregation order is fixed, so the result
     is identical to the serial sweep.
     """
-    from ..exec import SweepScheduler, detect_trojan_task
     payloads = [(problem, seed, cosim_vectors)
                 for seed in seeds for problem in problems]
     cells = SweepScheduler(jobs).map(detect_trojan_task, payloads)
@@ -190,7 +214,6 @@ def detection_sweep(problems: list[Problem], cosim_vectors: int = 64, *,
                               "exhaustive_cec": 0}
     # The critic detector joins the sweep only when enabled, so the
     # default-config result dict (golden-serialized) is unchanged.
-    from ..config import get_settings
     if get_settings().critic_enabled:
         caught["critic"] = 0
     total = 0

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from ..bench.harness import evaluate_candidate, make_task
 from ..bench.problems import Problem
 from ..engine import Budget, LoopKernel, RoundState, RunRecord
+from ..exec import SweepScheduler
 from ..llm.client import LLMClient, resolve_client
 from ..llm.model import SimulatedLLM
 from ..llm.prompts import Prompt, PromptStrategy
@@ -198,6 +199,14 @@ class StructuredSweep:
         return sum(r.coverage_gap for r in self.results) / len(self.results)
 
 
+def structured_flow_task(payload: tuple) -> StructuredFlowResult:
+    """``(problem, model, seed) -> StructuredFlowResult`` — one cell of a
+    structured-feedback sweep."""
+    problem, model, seed = payload
+    flow = StructuredFeedbackFlow(resolve_client(model, seed=seed))
+    return flow.run(problem, seed=seed)
+
+
 def run_structured_sweep(model: str | SimulatedLLM | LLMClient,
                          problems: list[Problem], *,
                          seeds: tuple[int, ...] = (0, 1, 2),
@@ -212,7 +221,6 @@ def run_structured_sweep(model: str | SimulatedLLM | LLMClient,
     cells = [(problem, model, seed)
              for seed in seeds for problem in problems]
     if isinstance(model, str):
-        from ..exec import SweepScheduler, structured_flow_task
         return StructuredSweep(
             SweepScheduler(jobs).map(structured_flow_task, cells))
     sweep = StructuredSweep()

@@ -17,12 +17,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..bench.harness import make_task
+from ..bench.harness import evaluate_candidate_task, make_task
 from ..bench.problems import Problem
 from ..engine import (Budget, RefinementEngine, RoundState, RunRecord,
                       Selection)
-from ..exec import (ParallelEvaluator, SweepScheduler,
-                    evaluate_candidate_task, exercise_module_task)
+from ..exec import ParallelEvaluator, SweepScheduler
+from ..hdl.testbench import exercise_module
 from ..llm.client import LLMClient, resolve_client
 from ..llm.model import Generation, SimulatedLLM
 from ..llm.prompts import Prompt
@@ -50,10 +50,6 @@ class VRankResult:
     first_passed: bool = False  # baseline: pick the first sample
     any_passed: bool = False    # oracle upper bound
 
-    @property
-    def consistency_gain(self) -> float:
-        return float(self.selected_passed) - float(self.first_passed)
-
 
 def _make_vectors(problem: Problem, n: int, rng: random.Random,
                   widths: dict[str, int]) -> list[dict[str, int]]:
@@ -62,6 +58,12 @@ def _make_vectors(problem: Problem, n: int, rng: random.Random,
         vectors.append({name: rng.getrandbits(width)
                         for name, width in widths.items()})
     return vectors
+
+
+def exercise_module_task(payload: tuple) -> list | None:
+    """``(source, top, vectors, clk, reset) -> signatures | None``."""
+    source, top, vectors, clk, reset = payload
+    return exercise_module(source, top, vectors, clk=clk, reset=reset)
 
 
 def vrank(problem: Problem,
@@ -186,6 +188,14 @@ class VRankSweep:
         return sum(r.any_passed for r in self.results) / len(self.results)
 
 
+def vrank_cell_task(payload: tuple) -> VRankResult:
+    """``(problem, model, n_candidates, temperature, seed) -> VRankResult``
+    — one cell of a VRank sweep."""
+    problem, model, n_candidates, temperature, seed = payload
+    return vrank(problem, model, n_candidates, temperature=temperature,
+                 seed=seed)
+
+
 def vrank_sweep(problems: list[Problem],
                 model: str | SimulatedLLM | LLMClient = "gpt-4",
                 n_candidates: int = 8, temperature: float = 0.9, *,
@@ -199,7 +209,6 @@ def vrank_sweep(problems: list[Problem],
     """
     sweep = VRankSweep()
     if isinstance(model, str):
-        from ..exec.tasks import vrank_cell_task
         cells = [(problem, model, n_candidates, temperature, seed)
                  for seed in seeds for problem in problems]
         sweep.results.extend(SweepScheduler(jobs).map(vrank_cell_task, cells))

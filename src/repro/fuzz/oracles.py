@@ -7,7 +7,8 @@ with ``ok=False`` is a finding worth shrinking.
 
 (a) ``synth``     — event-driven simulation vs bit-blasted AIG evaluation
 (b) ``cache``     — cold-compile, warm-cache, and cache-free runs agree
-(c) ``parallel``  — ``ParallelEvaluator.map`` vs a serial comprehension
+(c) ``parallel``  — ``ParallelEvaluator.map`` on a fork process pool vs a
+                    serial comprehension
 (d) ``roundtrip`` — parse → unparse → reparse is a structural fixpoint
 (e) ``compiled``  — compiled straight-line engine vs the event engine, on
                     the testbench and through the stimulus driver
@@ -20,7 +21,6 @@ import random
 from dataclasses import dataclass
 
 from ..exec.parallel import ParallelEvaluator
-from ..exec.tasks import run_testbench_task
 from ..hdl import parse, run_testbench, strip_locations, unparse
 from ..hdl.compile import CompileCache
 from ..hdl.elaborate import elaborate
@@ -149,10 +149,17 @@ def oracle_cache(case: FuzzCase) -> OracleReport:
 # --------------------------------------------------------------------------
 
 
+def run_testbench_task(payload: tuple) -> TestbenchResult:
+    """``(source, top, max_time, seed, tb_source) -> TestbenchResult``."""
+    source, top, max_time, seed, tb_source = payload
+    return run_testbench(source, top, max_time=max_time, seed=seed,
+                         tb_source=tb_source)
+
+
 def oracle_parallel(case: FuzzCase) -> OracleReport:
     payloads = [(case.dut_source, case.top, MAX_SIM_TIME, seed,
                  case.tb_source) for seed in (1, 2, 3)]
-    evaluator = ParallelEvaluator(jobs=2, mode="thread")
+    evaluator = ParallelEvaluator(jobs=2)
     par = evaluator.map(run_testbench_task, payloads)
     ser = [run_testbench_task(p) for p in payloads]
     for i, (p, s) in enumerate(zip(par, ser)):

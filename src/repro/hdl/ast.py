@@ -254,10 +254,6 @@ class Always:
     loc: SourceLocation | None = None
 
     @property
-    def is_combinational(self) -> bool:
-        return all(kind == "any" for kind, _ in self.edges) or not self.edges
-
-    @property
     def is_star(self) -> bool:
         return not self.edges
 

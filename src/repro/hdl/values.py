@@ -53,10 +53,6 @@ class Logic:
     def has_x(self) -> bool:
         return self.xmask != 0
 
-    @property
-    def all_known(self) -> bool:
-        return self.xmask == 0
-
     def is_true(self) -> bool:
         """Verilog truthiness: true iff some known bit is 1."""
         return self.value != 0

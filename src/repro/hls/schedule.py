@@ -130,16 +130,6 @@ def _count_expr(expr: CExpr, counts: OpCounts) -> None:
             _count_expr(a, counts)
 
 
-@dataclass
-class _LoopModel:
-    trips: int
-    body: OpCounts
-    ii: int | None
-    unroll: int
-    latency: int
-    carried_dependency: bool
-
-
 class Scheduler:
     def __init__(self, program: CProgram, clock_ns: float = 10.0):
         self.program = program

@@ -21,9 +21,6 @@ class SliceResult:
     key_variables: set[str] = field(default_factory=set)
     relevant_lines: set[int] = field(default_factory=set)
 
-    def is_key(self, name: str) -> bool:
-        return name in self.key_variables
-
 
 def _expr_vars(expr: CExpr | None, out: set[str]) -> None:
     if expr is None:

@@ -93,14 +93,6 @@ def adapt_testbench(source: str, top: str, llm: SimulatedLLM,
     return program_str(program), applied
 
 
-@dataclass
-class MutationConfig:
-    bit_flip_p: float = 0.3
-    delta_p: float = 0.4
-    boundary_p: float = 0.3
-    array_element_p: float = 0.5
-
-
 class HlsTester:
     """Runs the full discrepancy-testing campaign for one kernel."""
 

@@ -63,10 +63,6 @@ class Generation:
     style_seed: int
     misinterpreted: bool = False
 
-    @property
-    def fault_ids(self) -> tuple[str, ...]:
-        return tuple(fid for fid, _ in self.faults)
-
 
 @dataclass
 class UsageStats:

@@ -82,10 +82,6 @@ class ModelProfile:
         if self.params_b <= 0:
             raise ValueError(f"params_b must be positive for '{self.name}'")
 
-    @property
-    def is_conversational(self) -> bool:
-        return self.instruct
-
     def effective_verilog_quality(self) -> float:
         """Aggregate single-shot Verilog quality (used for quick ranking)."""
         return (0.3 * self.syntax_reliability

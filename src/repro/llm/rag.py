@@ -46,10 +46,6 @@ class VectorIndex:
         self.documents.append(document)
         self._dirty = True
 
-    def add_all(self, documents: list[Document]) -> None:
-        for doc in documents:
-            self.add(doc)
-
     def __len__(self) -> int:
         return len(self.documents)
 

@@ -10,7 +10,7 @@ loops spend their time.  This package provides:
   and per-span attributes, streamed to a pluggable sink;
 * :class:`~repro.obs.metrics.Counter` / :class:`~repro.obs.metrics.Histogram`
   — process-wide named metrics (compile-cache hits, simulator events,
-  evaluator timeouts);
+  per-task run times);
 * sinks — in-memory (tests/reports), JSONL file (``REPRO_TRACE_FILE``),
   and the no-op default;
 * :mod:`repro.obs.report` — renders a run summary table from any of the

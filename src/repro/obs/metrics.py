@@ -2,12 +2,13 @@
 
 Metrics complement spans: spans answer "where did this run spend its
 time", metrics answer "how many compile-cache hits / simulator events /
-evaluator timeouts did it accumulate".  Both stream into the same sink
+critic rejections did it accumulate".  Both stream into the same sink
 (via :func:`repro.obs.flush_metrics`), so one JSONL trace carries the
 full picture of a run.
 
-Everything is thread-safe — the parallel evaluator's thread mode and the
-compile cache's thread sharing update metrics concurrently.
+Everything is thread-safe.  Process-pool workers record into their own
+(forked) registry; :class:`repro.exec.ParallelEvaluator` ships each task's
+counter deltas back and adds them here.
 """
 
 from __future__ import annotations

@@ -120,10 +120,6 @@ class Tracer:
                 stack.pop()
             self.sink.emit(sp.as_dict())
 
-    def current_span(self) -> Span | None:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
-
     # -- raw records ---------------------------------------------------------
 
     def emit(self, record: dict) -> None:

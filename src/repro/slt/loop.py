@@ -49,10 +49,6 @@ class SltRunResult:
     pool_final_diversity: float = 0.0
     compile_failures: int = 0
 
-    def best_over_time(self) -> list[tuple[float, float]]:
-        """(hours, best-so-far watts) series for plotting Fig. 5-style curves."""
-        return [(e.elapsed_hours, e.best_w) for e in self.events]
-
     def summary(self) -> str:
         return (f"{self.snippets_generated} snippets in "
                 f"{self.elapsed_hours:.1f}h; best {self.best_power_w:.3f}W; "

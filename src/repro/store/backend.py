@@ -73,7 +73,7 @@ class CacheStats:
 
 
 class LruCache:
-    """Bounded LRU of live objects (thread-safe; shared by thread pools).
+    """Bounded LRU of live objects (thread-safe).
 
     ``cumulative`` optionally shares process-wide counters that survive
     the cache (see ``repro.hdl.compile``'s per-layer registry).

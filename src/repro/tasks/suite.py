@@ -19,22 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from ..exec import SweepScheduler
 from ..tools import ToolContext
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..core.planner import PlannerRunReport
     from ..llm.model import SimulatedLLM
     from ..llm.client import LLMClient
-
-
-def _ordered_stages(ctx: ToolContext, *stages: str) -> bool:
-    """True when ``stages`` appear in the history in order (gaps allowed)."""
-    position = 0
-    for record in ctx.state.history:
-        if record.stage == stages[position] and record.success:
-            position += 1
-            if position == len(stages):
-                return True
-    return False
 
 
 # -- success predicates (module-level: shared by run-time finish gating
@@ -219,6 +210,13 @@ class TaskSuiteResult:
                 f"{self.solved}/{len(self.scores)} solved | {rows}")
 
 
+def planner_task_cell(payload: tuple) -> PlannerRunReport:
+    """``(task_id, model, seed, max_steps) -> PlannerRunReport`` — one cell
+    of a planner task-suite pass@k grid."""
+    task_id, model, seed, max_steps = payload
+    return run_task(task_id, model, seed=seed, max_steps=max_steps)
+
+
 def run_task_suite(model: "str | SimulatedLLM | LLMClient" = "gpt-4o",
                    k: int = 3, task_ids: tuple[str, ...] = (), *,
                    seed: int = 0, max_steps: int | None = None, budget=None,
@@ -231,7 +229,6 @@ def run_task_suite(model: "str | SimulatedLLM | LLMClient" = "gpt-4o",
     journals/resumes under an active campaign scope exactly like every
     other flow sweep; client instances (not picklable) run serially.
     """
-    from ..exec import SweepScheduler, planner_task_cell
     tasks = [get_task(t) for t in task_ids] if task_ids else list(TASKS)
     cells = [(task.task_id, model, seed + attempt, max_steps)
              for task in tasks for attempt in range(k)]

@@ -5,8 +5,8 @@ tracing, store) directly; without isolation, a test that forgets to
 restore a knob silently changes the behaviour — and the cache keys — of
 every test that runs after it.  The autouse fixture below snapshots
 ``os.environ`` before each test, restores it afterwards, and resets the
-one-shot warning dedupe in :mod:`repro.config` so warning-emission tests
-see a clean slate regardless of ordering.
+one-shot warning dedupe in :mod:`repro.exec.parallel` so warning-emission
+tests see a clean slate regardless of ordering.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.config import reset_warned_values
+from repro.exec.parallel import reset_warned_values
 
 
 @pytest.fixture(autouse=True)

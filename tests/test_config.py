@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.config import (ENV_TRACE, ENV_TRACE_FILE, Settings, get_settings,
-                          reset_warned_values)
+from repro.config import ENV_TRACE, ENV_TRACE_FILE, Settings, get_settings
+from repro.exec import resolve_jobs
+from repro.exec.parallel import reset_warned_values
 
 
 @pytest.fixture
@@ -33,14 +34,18 @@ class TestGenericAccessors:
 
 
 class TestResolveJobs:
+    """``jobs`` is an argument, resolved by :mod:`repro.exec`, not a knob
+    that :class:`Settings` reads."""
+
     def test_auto_uses_cpu_count(self, settings):
         import os
-        assert settings.resolve_jobs("auto") == max(1, os.cpu_count() or 1)
-        assert settings.resolve_jobs(-1) == max(1, os.cpu_count() or 1)
+        assert resolve_jobs("auto") == max(1, os.cpu_count() or 1)
+        assert resolve_jobs(-1) == max(1, os.cpu_count() or 1)
+        assert not hasattr(settings, "resolve_jobs")
 
     def test_bad_value_degrades_to_serial_with_warning(self, settings):
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            assert settings.resolve_jobs("lots") == 1
+            assert resolve_jobs("lots") == 1
 
 
 class TestSnapshot:

@@ -225,8 +225,12 @@ class TestEndToEndTrace:
         try:
             problem = all_problems()[0]
             report = EdaAgent(AgentConfig(model="gpt-4o"), seed=1).run(problem)
+            runs_before = obs.get_metrics().counter("sim.runs").value
             evaluate_model("gpt-4o", all_problems()[:2], k=2, seed=3,
-                           jobs=2, mode="thread")
+                           jobs=2)
+            # The pool's workers simulate; their counts ship back.
+            pooled_runs = obs.get_metrics().counter("sim.runs").value \
+                - runs_before
             obs.flush_metrics()
             obs.get_tracer().close()
         finally:
@@ -250,7 +254,11 @@ class TestEndToEndTrace:
         metrics = [r for r in records if r.get("type") == "metrics"][-1]
         assert metrics["counters"]["exec.tasks"] >= 4
         assert metrics["counters"]["sim.runs"] >= 1
-        assert "exec.task_latency_s" in metrics["histograms"]
+        assert pooled_runs >= 1
+        # Each pooled task's own run time, measured in its worker.
+        run_s = metrics["histograms"]["exec.task_run_s"]
+        assert run_s["count"] == 4 and run_s["min"] > 0
+        assert "exec.task_latency_s" not in metrics["histograms"]
         assert metrics["gauges"]["hdl.cache.parse.hits"] >= 1
 
         rendered = obs_report.render(str(path))

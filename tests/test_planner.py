@@ -12,8 +12,9 @@ from repro.core import (GroundedPolicy, PlannerAgent, parse_action,
                         render_action)
 from repro.core.state import DesignState
 from repro.engine import Budget
-from repro.exec import SweepScheduler, planner_task_cell
+from repro.exec import SweepScheduler
 from repro.tasks import TASKS, get_task, run_task, run_task_suite
+from repro.tasks.suite import planner_task_cell
 from repro.tools import (ToolArg, ToolContext, ToolCost, ToolError,
                          ToolOutcome, ToolSpec, build_tool_index, get_tool,
                          list_tools, register_tool)

@@ -23,7 +23,7 @@ import pytest
 
 import repro
 from repro import obs
-from repro.exec import sweep_map
+from repro.exec import SweepScheduler
 from repro.fuzz.runner import campaign_fingerprint, run_campaign
 from repro.store import (MISS, CampaignJournal, DiskStore, campaign_scope,
                          content_key, current_journal)
@@ -264,16 +264,16 @@ def _dumps_each(results):
 class TestSweepResume:
     def test_resume_equals_fresh(self, tmp_path):
         cells = list(range(6))
-        fresh = sweep_map(_cell_outcome, cells)
+        fresh = SweepScheduler().map(_cell_outcome, cells)
 
         store = DiskStore(str(tmp_path))
         fingerprint = ("sweep", "unit", 0)
         # Interrupted run: only the first three cells complete.
         with campaign_scope(CampaignJournal(store, fingerprint)):
-            sweep_map(_cell_outcome, cells[:3])
+            SweepScheduler().map(_cell_outcome, cells[:3])
         journal = CampaignJournal(store, fingerprint, resume=True)
         with campaign_scope(journal):
-            resumed = sweep_map(_cell_outcome, cells)
+            resumed = SweepScheduler().map(_cell_outcome, cells)
 
         assert _dumps_each(resumed) == _dumps_each(fresh)
         assert journal.restored == 3
@@ -281,10 +281,10 @@ class TestSweepResume:
 
     def test_corrupt_checkpoint_recomputes_cell(self, tmp_path):
         cells = list(range(4))
-        fresh = sweep_map(_cell_outcome, cells)
+        fresh = SweepScheduler().map(_cell_outcome, cells)
         store = DiskStore(str(tmp_path))
         with campaign_scope(CampaignJournal(store, "corrupt-test")):
-            sweep_map(_cell_outcome, cells)
+            SweepScheduler().map(_cell_outcome, cells)
         # Vandalize one checkpoint on disk.
         digest = store.keys("campaign")[0]
         path = os.path.join(store.root, "campaign", digest[:2],
@@ -293,21 +293,21 @@ class TestSweepResume:
             fh.write(b"zap")
         journal = CampaignJournal(store, "corrupt-test", resume=True)
         with campaign_scope(journal):
-            resumed = sweep_map(_cell_outcome, cells)
+            resumed = SweepScheduler().map(_cell_outcome, cells)
         assert _dumps_each(resumed) == _dumps_each(fresh)
         assert journal.restored == 3
         assert journal.written == 1  # the vandalized cell was recomputed
 
     def test_parallel_resume_equals_fresh(self, tmp_path):
         cells = list(range(8))
-        fresh = sweep_map(_cell_outcome, cells, jobs=3)
+        fresh = SweepScheduler(3).map(_cell_outcome, cells)
         store = DiskStore(str(tmp_path))
         fingerprint = ("sweep", "parallel", 0)
         with campaign_scope(CampaignJournal(store, fingerprint)):
-            sweep_map(_cell_outcome, cells[:5], jobs=3)
+            SweepScheduler(3).map(_cell_outcome, cells[:5])
         journal = CampaignJournal(store, fingerprint, resume=True)
         with campaign_scope(journal):
-            resumed = sweep_map(_cell_outcome, cells, jobs=3)
+            resumed = SweepScheduler(3).map(_cell_outcome, cells)
         assert _dumps_each(resumed) == _dumps_each(fresh)
         assert journal.restored == 5
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.problems import get_problem
-from repro.exec import SweepScheduler, sweep_map
+from repro.exec import SweepScheduler
 from repro.flows.autochip import compare_budgets
 from repro.obs import get_metrics
 
@@ -30,7 +30,7 @@ class TestSweepScheduler:
 
     def test_order_is_submission_order(self):
         cells = [5, 1, 4, 2]
-        assert sweep_map(_square, cells, jobs=2) == [25, 1, 16, 4]
+        assert SweepScheduler(2).map(_square, cells) == [25, 1, 16, 4]
 
     def test_jobs_default_is_serial(self):
         scheduler = SweepScheduler()
