@@ -19,10 +19,10 @@ from __future__ import annotations
 from ..bench.harness import evaluate_candidate
 from ..flows.assertgen import assertion_quality
 from ..obs import get_tracer
-from ..synth import estimate_ppa, optimize
-from ..synth.optimize import DEFAULT_SCRIPT
+from ..synth import estimate_ppa
 from ..tools import ToolContext, ToolOutcome
-from ..tools.catalog import autochip_rtl, lint_findings, synthesize_netlist
+from ..tools.catalog import (autochip_rtl, lint_findings, resynthesize,
+                             synthesize_netlist)
 
 
 def _done(ctx: ToolContext, stage: str, ok: bool, detail: str,
@@ -117,7 +117,6 @@ def synthesis(ctx: ToolContext, args: dict) -> ToolOutcome:
 
 
 _QOR_SCRIPTS = (
-    DEFAULT_SCRIPT,
     ("rewrite", "sweep"),
     ("balance", "rewrite", "balance", "sweep"),
 )
@@ -130,25 +129,13 @@ def qor(ctx: ToolContext, args: dict) -> ToolOutcome:
         return _done(ctx, "qor", False, "no netlist")
     best_report = estimate_ppa(state.netlist)
     chosen = "as-synthesized"
-    if args["enable_feedback"]:
-        # Closed-loop QoR refinement: try alternative synthesis scripts
-        # and keep the best area-delay product.
-        from ..synth import synthesize_source
-        for script in _QOR_SCRIPTS:
-            try:
-                with get_tracer().span("qor.script",
-                                       script="+".join(script)):
-                    candidate = synthesize_source(state.rtl_source,
-                                                  state.module_name)
-                    candidate.aig = optimize(candidate.aig, script).aig
-                    report = estimate_ppa(candidate)
-            except Exception:
-                continue
-            if report.area_um2 * report.delay_ns \
-                    < best_report.area_um2 * best_report.delay_ns:
-                best_report = report
-                state.netlist = candidate
-                chosen = "+".join(script)
+    # Closed-loop QoR refinement: try alternative synthesis scripts and
+    # keep the best area-delay product.
+    best = resynthesize(state.rtl_source, state.module_name, _QOR_SCRIPTS,
+                        best_report) if args["enable_feedback"] else None
+    if best is not None:
+        best_report, state.netlist, script = best
+        chosen = "+".join(script)
     state.ppa = best_report
     return _done(ctx, "qor", True,
                  f"{best_report.summary()} (script: {chosen})")

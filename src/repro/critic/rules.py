@@ -25,6 +25,7 @@ byte-identical across serial and parallel runs.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from ..hdl import ast as A
@@ -55,82 +56,6 @@ LEGAL_PRAGMA_KINDS = frozenset(
 _LITERAL_RE = re.compile(r"^(\d+'[bhd][0-9a-fA-FxXzZ_]+|\d+|[01xXzZ]+)$")
 
 
-def _walk_stmts(stmt):
-    """Yield every statement under ``stmt`` (inclusive)."""
-    if stmt is None:
-        return
-    yield stmt
-    if isinstance(stmt, A.Block):
-        for s in stmt.stmts:
-            yield from _walk_stmts(s)
-    elif isinstance(stmt, A.If):
-        yield from _walk_stmts(stmt.then)
-        yield from _walk_stmts(stmt.other)
-    elif isinstance(stmt, A.Case):
-        for item in stmt.items:
-            yield from _walk_stmts(item.body)
-    elif isinstance(stmt, A.For):
-        yield from _walk_stmts(stmt.body)
-    elif isinstance(stmt, (A.While, A.Repeat)):
-        yield from _walk_stmts(stmt.body)
-    elif isinstance(stmt, A.Delay):
-        yield from _walk_stmts(stmt.then)
-
-
-def _stmt_exprs(stmt):
-    """Top-level expressions appearing directly in one statement."""
-    if isinstance(stmt, A.Assign):
-        yield stmt.expr
-        for part in (stmt.target.index, stmt.target.msb, stmt.target.lsb):
-            if part is not None:
-                yield part
-    elif isinstance(stmt, A.If):
-        yield stmt.cond
-    elif isinstance(stmt, A.Case):
-        yield stmt.subject
-        for item in stmt.items:
-            for label in item.labels or ():
-                yield label
-    elif isinstance(stmt, A.For):
-        yield stmt.cond
-    elif isinstance(stmt, A.While):
-        yield stmt.cond
-    elif isinstance(stmt, A.Repeat):
-        yield stmt.count
-    elif isinstance(stmt, A.SysTask):
-        yield from stmt.args
-
-
-def _walk_exprs(expr):
-    """Yield every sub-expression of ``expr`` (inclusive)."""
-    if expr is None:
-        return
-    yield expr
-    if isinstance(expr, A.Unary):
-        yield from _walk_exprs(expr.operand)
-    elif isinstance(expr, A.Binary):
-        yield from _walk_exprs(expr.left)
-        yield from _walk_exprs(expr.right)
-    elif isinstance(expr, A.Ternary):
-        yield from _walk_exprs(expr.cond)
-        yield from _walk_exprs(expr.if_true)
-        yield from _walk_exprs(expr.if_false)
-    elif isinstance(expr, A.Concat):
-        for part in expr.parts:
-            yield from _walk_exprs(part)
-    elif isinstance(expr, A.Replicate):
-        yield from _walk_exprs(expr.count)
-        yield from _walk_exprs(expr.inner)
-    elif isinstance(expr, A.Index):
-        yield from _walk_exprs(expr.index)
-    elif isinstance(expr, A.Slice):
-        yield from _walk_exprs(expr.msb)
-        yield from _walk_exprs(expr.lsb)
-    elif isinstance(expr, (A.SystemCall, A.FunctionCall)):
-        for arg in expr.args:
-            yield from _walk_exprs(arg)
-
-
 def _module_exprs(module: A.Module):
     """Every expression anywhere in ``module``, synthesizable items only.
 
@@ -138,14 +63,10 @@ def _module_exprs(module: A.Module):
     *meant* to check fixed expectations, so they are excluded from the
     structural rules to avoid false rejects on self-checking benches.
     """
-    for ca in module.assigns:
-        yield from _walk_exprs(ca.expr)
-        for part in (ca.target.index, ca.target.msb, ca.target.lsb):
-            yield from _walk_exprs(part)
-    for alw in module.always_blocks:
-        for stmt in _walk_stmts(alw.body):
-            for expr in _stmt_exprs(stmt):
-                yield from _walk_exprs(expr)
+    bodies = (A.walk_stmts(alw.body) for alw in module.always_blocks)
+    for stmt in itertools.chain(module.assigns, *bodies):
+        for expr in A.stmt_exprs(stmt, bounds=True):
+            yield from A.walk_exprs(expr)
 
 
 def _same_expr(a, b) -> bool:

@@ -13,7 +13,7 @@ suite asserts against (see ``tests/test_critic_corpus.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # -- failure taxonomy ---------------------------------------------------------
 #

@@ -141,10 +141,10 @@ class RefinementEngine:
     * ``stop_after(state, selection) -> str | None`` — post-selection stop;
     * ``feedback(state, selection) -> str`` — conditioning for next round.
 
-    The engine counts generations/evaluations on the record and, with
-    ``log_rounds``, appends a :class:`RoundLog` per round *before* the
-    feedback hook runs (so the log shows the feedback each round consumed,
-    not the feedback it produced).
+    The engine counts generations/evaluations on the record and appends a
+    :class:`RoundLog` per round *before* the feedback hook runs (so the log
+    shows the feedback each round consumed, not the feedback it produced).
+    ``clock`` times the budget's deadline (tests pass a fake one).
 
     ``critic(state, candidates) -> list[Verdict]`` is the optional
     post-generation validation hook (see :mod:`repro.critic`).  Verdicts
@@ -170,13 +170,11 @@ class RefinementEngine:
                  | None = None,
                  feedback: Callable[[RoundState, Selection], str]
                  | None = None,
-                 stop: Callable[[RoundState], str | None] | None = None,
                  budget: Budget | None = None,
                  record: RunRecord | None = None,
                  max_rounds: int | None = None,
                  span_name: str | None = "engine.round",
                  span_attrs: Callable[[RoundState], dict] | None = None,
-                 log_rounds: bool = True,
                  critic: Callable[[RoundState, list], list] | None = None,
                  critic_filter: bool = True,
                  clock: Callable[[], float] = time.monotonic):
@@ -186,10 +184,9 @@ class RefinementEngine:
         self.annotate = annotate
         self.stop_after = stop_after
         self.feedback = feedback
-        self.log_rounds = log_rounds
         self.critic = critic
         self.critic_filter = critic_filter
-        self.kernel = LoopKernel(step=self._step, stop=stop, budget=budget,
+        self.kernel = LoopKernel(step=self._step, budget=budget,
                                  record=record, max_rounds=max_rounds,
                                  span_name=span_name, span_attrs=span_attrs,
                                  clock=clock)
@@ -222,10 +219,9 @@ class RefinementEngine:
         record.tool_evaluations += len(outcomes)
         metrics.counter("engine.evaluations").add(len(outcomes))
         selection = self.select(state, cands, outcomes)
-        if self.log_rounds:
-            record.rounds.append(RoundLog(
-                state.round_no, list(selection.scores),
-                selection.best_score, state.feedback[:80]))
+        record.rounds.append(RoundLog(
+            state.round_no, list(selection.scores),
+            selection.best_score, state.feedback[:80]))
         if self.annotate is not None:
             self.annotate(sp, state, selection)
         if self.stop_after is not None:

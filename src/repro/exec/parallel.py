@@ -11,8 +11,11 @@ of two ways:
   in submission order, so a pooled run assembles byte-identical statistics
   to the serial run.  Each pooled task ships back, with its result, the
   metric-counter deltas it recorded and its own run time; the parent adds
-  the deltas, so counters read as they would serially, and records the run
-  time as ``exec.task_run_s`` when tracing is on.
+  the deltas, so counters read as they would serially.
+
+With tracing on, every task, pooled or serial, counts in ``exec.tasks``
+and records its run time in ``exec.task_run_s``, so a trace reads the same
+whatever the worker count.
 
 If the pool cannot start (``OSError``, or no fork start method), the map
 runs the serial loop and warns once.  A callable that will not pickle is a
@@ -90,10 +93,19 @@ def _run_task(fn: Callable[[Any], Any], item: Any) -> tuple:
     return result, deltas, run_s
 
 
-def _serial(fn, work: list[Any], on_result) -> list[Any]:
+def _serial(fn, work: list[Any], on_result, run_s) -> list[Any]:
+    """The plain loop; with tracing on (``run_s`` is the histogram) each
+    task counts in ``exec.tasks`` and ``exec.task_run_s`` as a pooled one
+    does."""
     out = []
     for index, item in enumerate(work):
-        result = fn(item)
+        if run_s is None:
+            result = fn(item)
+        else:
+            t0 = time.perf_counter()
+            result = fn(item)
+            run_s.observe(time.perf_counter() - t0)
+            get_metrics().counter("exec.tasks").add(1)
         if on_result is not None:
             on_result(index, item, result)
         out.append(result)
@@ -117,11 +129,14 @@ class ParallelEvaluator:
         on.
         """
         work = list(items)
-        with get_tracer().span("exec.map", jobs=self.jobs,
-                               tasks=len(work)) as sp:
+        tracer = get_tracer()
+        run_s = get_metrics().histogram("exec.task_run_s") \
+            if tracer.enabled else None
+        with tracer.span("exec.map", jobs=self.jobs,
+                         tasks=len(work)) as sp:
             if self.jobs <= 1 or len(work) <= 1:
                 sp.set(worker_mode="serial")
-                return _serial(fn, work, on_result)
+                return _serial(fn, work, on_result, run_s)
             executor = None
             try:
                 executor = ProcessPoolExecutor(
@@ -136,17 +151,15 @@ class ParallelEvaluator:
                            f"process pool could not start ({exc}); "
                            f"evaluating serially")
                 sp.set(worker_mode="serial", fallback=str(exc)[:120])
-                return _serial(fn, work, on_result)
+                return _serial(fn, work, on_result, run_s)
             sp.set(worker_mode="process")
             with executor:
-                return _collect(futures, work, on_result)
+                return _collect(futures, work, on_result, run_s)
 
 
-def _collect(futures, work: list[Any], on_result) -> list[Any]:
+def _collect(futures, work: list[Any], on_result, run_s) -> list[Any]:
     """Results in submission order; merge each task's counter deltas."""
     metrics = get_metrics()
-    run_s = metrics.histogram("exec.task_run_s") \
-        if get_tracer().enabled else None
     out = []
     for index, (item, future) in enumerate(zip(work, futures)):
         result, deltas, seconds = future.result()

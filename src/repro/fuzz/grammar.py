@@ -16,7 +16,7 @@ reports is a real toolchain bug, not a known semantic gap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..hdl import ast as A
 from ..hdl.unparse import unparse

@@ -308,3 +308,96 @@ class SourceFile:
 
     def add(self, module: Module) -> None:
         self.modules[module.name] = module
+
+
+# --------------------------------------------------------------------------
+# Traversal
+# --------------------------------------------------------------------------
+
+# Child fields of each node class, in visiting order (DESIGN.md §19).  A
+# field holds one node, None, or a tuple of nodes.
+_EXPR_FIELDS: dict[type, tuple[str, ...]] = {
+    Unary: ("operand",), Binary: ("left", "right"),
+    Ternary: ("cond", "if_true", "if_false"), Concat: ("parts",),
+    Replicate: ("count", "inner"), Index: ("index",), Slice: ("msb", "lsb"),
+    SystemCall: ("args",), FunctionCall: ("args",),
+}
+# ``CaseItem`` is walked through but not yielded.
+_STMT_FIELDS: dict[type, tuple[str, ...]] = {
+    Block: ("stmts",), If: ("then", "other"), Case: ("items",),
+    CaseItem: ("body",), For: ("body",), While: ("body",),
+    Repeat: ("body",), Delay: ("then",),
+}
+# The same, with a ``for`` loop's init and step assignments.
+_STMT_FIELDS_HEADERS = {**_STMT_FIELDS, For: ("init", "step", "body")}
+
+
+def preorder(node, fields: dict[type, tuple[str, ...]],
+             kind: type = object):
+    """Yield ``node`` and every node under it that is a ``kind``,
+    pre-order; ``fields`` maps a class to its child fields.  The Verilog
+    and the mini-C (:mod:`repro.hls.cast`) walkers share it."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            continue
+        if isinstance(node, kind):
+            yield node
+        for name in reversed(fields.get(type(node), ())):
+            child = getattr(node, name)
+            if type(child) is tuple:
+                todo.extend(reversed(child))
+            else:
+                todo.append(child)
+
+
+def walk_exprs(expr: Expr | None):
+    """Yield ``expr`` and every sub-expression, pre-order."""
+    return preorder(expr, _EXPR_FIELDS)
+
+
+def walk_stmts(stmt: Stmt | None, for_headers: bool = False):
+    """Yield ``stmt`` and every nested statement, pre-order.
+
+    A ``for`` loop's init and step assignments are visited (before its
+    body) only with ``for_headers``: read and write sets need them, the
+    linter's blocking-assignment checks and the critic do not.
+    """
+    return preorder(stmt, _STMT_FIELDS_HEADERS if for_headers
+                    else _STMT_FIELDS, Stmt)
+
+
+def stmt_exprs(stmt: Stmt | ContinuousAssign, bounds: bool = False):
+    """Yield the expressions ``stmt`` holds itself, not those of nested
+    statements: an assignment's value before its target's index, a case
+    subject before every label.  A delay amount is not among them.
+
+    With ``bounds``, an assignment also yields its target's part-select
+    bounds.  They are constants, so read sets leave them out; the critic
+    checks every expression.
+    """
+    t = type(stmt)
+    if t is Assign or t is ContinuousAssign:
+        yield stmt.expr
+        target = stmt.target
+        parts = (target.index, target.msb, target.lsb) if bounds \
+            else (target.index,)
+        for part in parts:
+            if part is not None:
+                yield part
+    elif t is If or t is For or t is While:
+        yield stmt.cond
+    elif t is Case:
+        yield stmt.subject
+        for item in stmt.items:
+            yield from item.labels or ()
+    elif t is Repeat:
+        yield stmt.count
+    elif t is SysTask:
+        yield from stmt.args
+
+
+def has_timing(stmt: Stmt | None) -> bool:
+    """Does ``stmt`` contain a delay or an event wait?"""
+    return any(isinstance(s, (Delay, EventWait)) for s in walk_stmts(stmt))

@@ -39,7 +39,6 @@ from ..store import LruCache
 from .compile import COMPILE_CACHE_CAPACITY
 from .elaborate import Design, Process, Scope, eval_const
 from .errors import ElaborationError
-from .simulator import Simulator
 from .values import Logic
 
 
@@ -873,7 +872,7 @@ class _Compiler:
     def _is_comb(self, proc: Process) -> bool:
         return proc.kind == "assign" or (
             proc.kind == "always" and not proc.edges
-            and not Simulator._has_timing(proc.body))
+            and not A.has_timing(proc.body))
 
     def compile(self) -> "CompiledProgram":
         design = self.design
@@ -891,7 +890,7 @@ class _Compiler:
                     if idx is not None:
                         comb_watch.setdefault(idx, []).append(cid)
             elif proc.kind == "always" and proc.edges:
-                if Simulator._has_timing(proc.body):
+                if A.has_timing(proc.body):
                     # The event engine errors only if the edge ever fires;
                     # falling back reproduces either outcome.
                     raise UnsupportedDesign(
@@ -945,36 +944,19 @@ class _Compiler:
     def _eventwait_signals(self, coro) -> set[int]:
         """Signals any coroutine can wait on — their writers must notify."""
         out: set[int] = set()
-
-        def walk(stmt: A.Stmt | None, scope: Scope) -> None:
-            if stmt is None:
-                return
-            if isinstance(stmt, A.EventWait):
+        for proc, _restart in coro:
+            for stmt in A.walk_stmts(proc.body):
+                if type(stmt) is not A.EventWait:
+                    continue
                 for _, sig in stmt.edges:
                     try:
                         flat = sig[1:] if sig.startswith("\0") \
-                            else scope.resolve(sig)
+                            else proc.scope.resolve(sig)
                     except ElaborationError as exc:
                         raise UnsupportedDesign(str(exc)) from exc
                     idx = self.sigidx.get(flat)
                     if idx is not None:
                         out.add(idx)
-            elif isinstance(stmt, A.Block):
-                for s in stmt.stmts:
-                    walk(s, scope)
-            elif isinstance(stmt, A.If):
-                walk(stmt.then, scope)
-                walk(stmt.other, scope)
-            elif isinstance(stmt, A.Case):
-                for item in stmt.items:
-                    walk(item.body, scope)
-            elif isinstance(stmt, (A.For, A.While, A.Repeat)):
-                walk(stmt.body, scope)
-            elif isinstance(stmt, A.Delay):
-                walk(stmt.then, scope)
-
-        for proc, _restart in coro:
-            walk(proc.body, proc.scope)
         return out
 
     def _comb_fn(self, cid: int, proc: Process) -> str:

@@ -114,96 +114,25 @@ class Design:
 # --------------------------------------------------------------------------
 
 
-def _expr_reads(expr: A.Expr, out: set[str]) -> None:
-    if isinstance(expr, A.Identifier):
-        out.add(expr.name)
-    elif isinstance(expr, A.Unary):
-        _expr_reads(expr.operand, out)
-    elif isinstance(expr, A.Binary):
-        _expr_reads(expr.left, out)
-        _expr_reads(expr.right, out)
-    elif isinstance(expr, A.Ternary):
-        for e in (expr.cond, expr.if_true, expr.if_false):
-            _expr_reads(e, out)
-    elif isinstance(expr, A.Concat):
-        for e in expr.parts:
-            _expr_reads(e, out)
-    elif isinstance(expr, A.Replicate):
-        _expr_reads(expr.count, out)
-        _expr_reads(expr.inner, out)
-    elif isinstance(expr, (A.Index, A.Slice)):
-        out.add(expr.target)
-        if isinstance(expr, A.Index):
-            _expr_reads(expr.index, out)
-        else:
-            _expr_reads(expr.msb, out)
-            _expr_reads(expr.lsb, out)
-    elif isinstance(expr, (A.SystemCall, A.FunctionCall)):
-        for e in expr.args:
-            _expr_reads(e, out)
+def _expr_reads(expr: A.Expr | None, out: set[str]) -> None:
+    for e in A.walk_exprs(expr):
+        t = type(e)
+        if t is A.Identifier:
+            out.add(e.name)
+        elif t is A.Index or t is A.Slice:
+            out.add(e.target)
 
 
 def _stmt_reads(stmt: A.Stmt, out: set[str]) -> None:
-    if isinstance(stmt, A.Assign):
-        _expr_reads(stmt.expr, out)
-        if stmt.target.index is not None:
-            _expr_reads(stmt.target.index, out)
-    elif isinstance(stmt, A.Block):
-        for s in stmt.stmts:
-            _stmt_reads(s, out)
-    elif isinstance(stmt, A.If):
-        _expr_reads(stmt.cond, out)
-        _stmt_reads(stmt.then, out)
-        if stmt.other is not None:
-            _stmt_reads(stmt.other, out)
-    elif isinstance(stmt, A.Case):
-        _expr_reads(stmt.subject, out)
-        for item in stmt.items:
-            if item.labels:
-                for lab in item.labels:
-                    _expr_reads(lab, out)
-            _stmt_reads(item.body, out)
-    elif isinstance(stmt, (A.For,)):
-        _expr_reads(stmt.cond, out)
-        _stmt_reads(stmt.init, out)
-        _stmt_reads(stmt.step, out)
-        _stmt_reads(stmt.body, out)
-    elif isinstance(stmt, A.While):
-        _expr_reads(stmt.cond, out)
-        _stmt_reads(stmt.body, out)
-    elif isinstance(stmt, A.Repeat):
-        _expr_reads(stmt.count, out)
-        _stmt_reads(stmt.body, out)
-    elif isinstance(stmt, A.Delay):
-        if stmt.then is not None:
-            _stmt_reads(stmt.then, out)
-    elif isinstance(stmt, A.SysTask):
-        for e in stmt.args:
-            _expr_reads(e, out)
+    for s in A.walk_stmts(stmt, for_headers=True):
+        for expr in A.stmt_exprs(s):
+            _expr_reads(expr, out)
 
 
 def stmt_writes(stmt: A.Stmt, out: set[str]) -> None:
     """Collect names assigned anywhere in ``stmt``."""
-    if isinstance(stmt, A.Assign):
-        out.add(stmt.target.name)
-    elif isinstance(stmt, A.Block):
-        for s in stmt.stmts:
-            stmt_writes(s, out)
-    elif isinstance(stmt, A.If):
-        stmt_writes(stmt.then, out)
-        if stmt.other is not None:
-            stmt_writes(stmt.other, out)
-    elif isinstance(stmt, A.Case):
-        for item in stmt.items:
-            stmt_writes(item.body, out)
-    elif isinstance(stmt, A.For):
-        stmt_writes(stmt.init, out)
-        stmt_writes(stmt.step, out)
-        stmt_writes(stmt.body, out)
-    elif isinstance(stmt, (A.While, A.Repeat)):
-        stmt_writes(stmt.body, out)
-    elif isinstance(stmt, A.Delay) and stmt.then is not None:
-        stmt_writes(stmt.then, out)
+    out.update(s.target.name for s in A.walk_stmts(stmt, for_headers=True)
+               if type(s) is A.Assign)
 
 
 # --------------------------------------------------------------------------
@@ -324,9 +253,8 @@ class Elaborator:
         # Continuous assigns.
         for ca in module.assigns:
             deps: set[str] = set()
-            _expr_reads(ca.expr, deps)
-            if ca.target.index is not None:
-                _expr_reads(ca.target.index, deps)
+            for expr in A.stmt_exprs(ca):
+                _expr_reads(expr, deps)
             flat_deps = frozenset(scope.names[d] for d in deps if d in scope.names)
             design.processes.append(Process(
                 kind="assign", scope=scope, target=ca.target, expr=ca.expr,
@@ -339,7 +267,6 @@ class Elaborator:
                 _stmt_reads(alw.body, reads)
                 writes: set[str] = set()
                 stmt_writes(alw.body, writes)
-                dep_names = (reads - writes) | (reads & writes & set())
                 flat_deps = frozenset(scope.names[d] for d in reads - writes
                                       if d in scope.names)
                 design.processes.append(Process(

@@ -12,22 +12,6 @@ from .elaborate import eval_const, stmt_writes, _stmt_reads, _expr_reads
 from .errors import LintWarning
 
 
-def _has_timing(stmt: A.Stmt | None) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, (A.Delay, A.EventWait)):
-        return True
-    if isinstance(stmt, A.Block):
-        return any(_has_timing(s) for s in stmt.stmts)
-    if isinstance(stmt, A.If):
-        return _has_timing(stmt.then) or _has_timing(stmt.other)
-    if isinstance(stmt, A.Case):
-        return any(_has_timing(i.body) for i in stmt.items)
-    if isinstance(stmt, (A.For, A.While, A.Repeat)):
-        return _has_timing(stmt.body)
-    return False
-
-
 def _decl_widths(module: A.Module) -> dict[str, int]:
     params: dict[str, int] = {}
     for p in module.parameters:
@@ -171,8 +155,7 @@ class Linter:
         for alw in self.module.always_blocks:
             if not alw.edges or all(k == "any" for k, _ in alw.edges):
                 continue
-            blocking: set[str] = set()
-            self._find_assigns(alw.body, blocking, want_blocking=True)
+            blocking = self._find_assigns(alw.body, want_blocking=True)
             for name in sorted(blocking):
                 self._warn("LINT-BLOCKSEQ",
                            f"blocking assignment to '{name}' inside clocked always block")
@@ -181,30 +164,17 @@ class Linter:
         for alw in self.module.always_blocks:
             if alw.edges and not all(k == "any" for k, _ in alw.edges):
                 continue
-            if _has_timing(alw.body):
+            if A.has_timing(alw.body):
                 continue  # clock generator, not combinational logic
-            nonblocking: set[str] = set()
-            self._find_assigns(alw.body, nonblocking, want_blocking=False)
+            nonblocking = self._find_assigns(alw.body, want_blocking=False)
             for name in sorted(nonblocking):
                 self._warn("LINT-NBACOMB",
                            f"non-blocking assignment to '{name}' in combinational block")
 
-    def _find_assigns(self, stmt: A.Stmt, out: set[str], want_blocking: bool) -> None:
-        if isinstance(stmt, A.Assign):
-            if stmt.blocking == want_blocking:
-                out.add(stmt.target.name)
-        elif isinstance(stmt, A.Block):
-            for s in stmt.stmts:
-                self._find_assigns(s, out, want_blocking)
-        elif isinstance(stmt, A.If):
-            self._find_assigns(stmt.then, out, want_blocking)
-            if stmt.other is not None:
-                self._find_assigns(stmt.other, out, want_blocking)
-        elif isinstance(stmt, A.Case):
-            for item in stmt.items:
-                self._find_assigns(item.body, out, want_blocking)
-        elif isinstance(stmt, (A.For, A.While, A.Repeat)):
-            self._find_assigns(stmt.body, out, want_blocking)
+    @staticmethod
+    def _find_assigns(stmt: A.Stmt, want_blocking: bool) -> set[str]:
+        return {s.target.name for s in A.walk_stmts(stmt)
+                if type(s) is A.Assign and s.blocking == want_blocking}
 
     def _check_latches(self) -> None:
         """A comb always block that doesn't assign a signal on all paths
@@ -212,7 +182,7 @@ class Linter:
         for alw in self.module.always_blocks:
             if alw.edges and not all(k == "any" for k, _ in alw.edges):
                 continue
-            if _has_timing(alw.body):
+            if A.has_timing(alw.body):
                 continue  # behavioural/testbench process, not synthesizable comb
             all_writes: set[str] = set()
             stmt_writes(alw.body, all_writes)

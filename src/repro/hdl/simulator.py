@@ -15,7 +15,7 @@ delays and edge waits.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ast as A
 from ..obs import get_metrics, get_tracer
@@ -87,7 +87,7 @@ class Simulator:
 
         for idx, proc in enumerate(design.processes):
             if proc.kind == "assign" or (proc.kind == "always" and not proc.edges
-                                         and not self._has_timing(proc.body)):
+                                         and not A.has_timing(proc.body)):
                 for dep in proc.deps:
                     self._comb_watch.setdefault(dep, []).append(idx)
             elif proc.kind == "always" and proc.edges:
@@ -107,22 +107,6 @@ class Simulator:
         self._monitors: list[tuple[Process, A.SysTask]] = []
 
     # -- small helpers -------------------------------------------------------
-
-    @staticmethod
-    def _has_timing(stmt: A.Stmt | None) -> bool:
-        if stmt is None:
-            return False
-        if isinstance(stmt, (A.Delay, A.EventWait)):
-            return True
-        if isinstance(stmt, A.Block):
-            return any(Simulator._has_timing(s) for s in stmt.stmts)
-        if isinstance(stmt, A.If):
-            return Simulator._has_timing(stmt.then) or Simulator._has_timing(stmt.other)
-        if isinstance(stmt, A.Case):
-            return any(Simulator._has_timing(i.body) for i in stmt.items)
-        if isinstance(stmt, (A.For, A.While, A.Repeat)):
-            return Simulator._has_timing(stmt.body)
-        return False
 
     def _rand32(self) -> int:
         self._rand_state = (self._rand_state * 1103515245 + 12345) & 0xFFFFFFFF
@@ -592,7 +576,7 @@ class Simulator:
         # Time 0: run all comb processes once, then start coroutines.
         for idx, proc in enumerate(self.design.processes):
             if proc.kind == "assign" or (proc.kind == "always" and not proc.edges
-                                         and not self._has_timing(proc.body)):
+                                         and not A.has_timing(proc.body)):
                 self._active.append(("comb", idx))
         for proc, _restart in self._coroutines:
             self._active.append(("start", proc))

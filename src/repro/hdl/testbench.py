@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import ast as A
 from ..obs import get_metrics, get_tracer
 from .compile import (CompileCache, CompiledDesign, compile_design,
                       get_default_cache, source_key)
@@ -205,7 +206,7 @@ class _EventDriver:
         # Prime time-zero evaluation of combinational logic.
         for idx, proc in enumerate(design.processes):
             if proc.kind == "assign" or (proc.kind == "always" and not proc.edges
-                                         and not sim._has_timing(proc.body)):
+                                         and not A.has_timing(proc.body)):
                 sim._active.append(("comb", idx))
 
     def poke(self, port: str, value: int) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..hdl.ast import preorder
+
 
 # -- types -------------------------------------------------------------------
 
@@ -223,3 +225,43 @@ class CProgram:
         if name not in self.functions:
             raise KeyError(f"function '{name}' not defined")
         return self.functions[name]
+
+
+# -- traversal -------------------------------------------------------------------------
+
+# Child fields of each node class, in visiting order (DESIGN.md §19).  A
+# field holds one node, None, or a tuple of nodes.
+_EXPR_FIELDS: dict[type, tuple[str, ...]] = {
+    CUnary: ("operand",), CBinary: ("left", "right"),
+    CTernary: ("cond", "if_true", "if_false"), CAssign: ("target", "value"),
+    CIndex: ("base", "index"), CCall: ("args",), CCast: ("operand",),
+}
+_STMT_FIELDS: dict[type, tuple[str, ...]] = {
+    CBlock: ("stmts",), CIf: ("then", "other"), CFor: ("init", "body"),
+    CWhile: ("body",),
+}
+# The expressions each statement holds itself.
+_STMT_EXPRS: dict[type, tuple[str, ...]] = {
+    CDecl: ("init",), CExprStmt: ("expr",), CIf: ("cond",),
+    CFor: ("cond", "step"), CWhile: ("cond",), CReturn: ("value",),
+}
+
+
+def walk_exprs(expr: CExpr | None):
+    """Yield ``expr`` and every sub-expression, pre-order."""
+    return preorder(expr, _EXPR_FIELDS)
+
+
+def walk_stmts(stmt: CStmt | None):
+    """Yield ``stmt`` and every nested statement, pre-order (a ``for``
+    loop's init statement before its body)."""
+    return preorder(stmt, _STMT_FIELDS)
+
+
+def stmt_exprs(stmt: CStmt):
+    """Yield the expressions ``stmt`` holds itself, not those of nested
+    statements."""
+    for name in _STMT_EXPRS.get(type(stmt), ()):
+        expr = getattr(stmt, name)
+        if expr is not None:
+            yield expr

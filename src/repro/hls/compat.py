@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cast import (CAssign, CBinary, CBlock, CBreak, CCall, CCast, CContinue,
-                   CDecl, CExpr, CExprStmt, CFor, CFunction, CIf, CIndex,
-                   CNum, CPragmaStmt, CProgram, CReturn, CStmt, CTernary,
-                   CUnary, CVar, CWhile)
+from .cast import (CAssign, CBinary, CBlock, CCall, CCast, CDecl, CExpr,
+                   CExprStmt, CFor, CFunction, CIf, CIndex, CNum, CProgram,
+                   CReturn, CStmt, CTernary, CUnary, CVar, CWhile, stmt_exprs,
+                   walk_exprs, walk_stmts)
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ class CompatChecker:
     def _check_recursion(self, functions: dict[str, CFunction]) -> None:
         calls: dict[str, set[str]] = {}
         for name, func in functions.items():
-            called: set[str] = set()
-            self._collect_calls(func.body, called)
+            called = {e.func for stmt in walk_stmts(func.body)
+                      for expr in stmt_exprs(stmt)
+                      for e in walk_exprs(expr) if type(e) is CCall}
             calls[name] = called & set(functions)
 
         # DFS cycle detection.
@@ -127,54 +128,6 @@ class CompatChecker:
                 visit(name, [name])
         for name in sorted(flagged):
             self.issues.append(_make_issue("recursion", functions[name].line, name))
-
-    def _collect_calls(self, node, out: set[str]) -> None:
-        if isinstance(node, CBlock):
-            for s in node.stmts:
-                self._collect_calls(s, out)
-        elif isinstance(node, CIf):
-            self._collect_calls_expr(node.cond, out)
-            self._collect_calls(node.then, out)
-            if node.other is not None:
-                self._collect_calls(node.other, out)
-        elif isinstance(node, CFor):
-            for part in (node.init, node.body):
-                if part is not None:
-                    self._collect_calls(part, out)
-            for part in (node.cond, node.step):
-                if part is not None:
-                    self._collect_calls_expr(part, out)
-        elif isinstance(node, CWhile):
-            self._collect_calls_expr(node.cond, out)
-            self._collect_calls(node.body, out)
-        elif isinstance(node, CExprStmt):
-            self._collect_calls_expr(node.expr, out)
-        elif isinstance(node, CDecl) and node.init is not None:
-            self._collect_calls_expr(node.init, out)
-        elif isinstance(node, CReturn) and node.value is not None:
-            self._collect_calls_expr(node.value, out)
-
-    def _collect_calls_expr(self, expr: CExpr, out: set[str]) -> None:
-        if isinstance(expr, CCall):
-            out.add(expr.func)
-            for a in expr.args:
-                self._collect_calls_expr(a, out)
-        elif isinstance(expr, CBinary):
-            self._collect_calls_expr(expr.left, out)
-            self._collect_calls_expr(expr.right, out)
-        elif isinstance(expr, CUnary):
-            self._collect_calls_expr(expr.operand, out)
-        elif isinstance(expr, CTernary):
-            for e in (expr.cond, expr.if_true, expr.if_false):
-                self._collect_calls_expr(e, out)
-        elif isinstance(expr, CAssign):
-            self._collect_calls_expr(expr.target, out)
-            self._collect_calls_expr(expr.value, out)
-        elif isinstance(expr, CIndex):
-            self._collect_calls_expr(expr.base, out)
-            self._collect_calls_expr(expr.index, out)
-        elif isinstance(expr, CCast):
-            self._collect_calls_expr(expr.operand, out)
 
     # -- per-function checks -------------------------------------------------------
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .cast import (CAssign, CBinary, CBlock, CBreak, CCall, CCast, CContinue,
                    CDecl, CExpr, CExprStmt, CFor, CFunction, CIf, CIndex,
                    CNum, CPragmaStmt, CProgram, CReturn, CSizeof, CStmt,
-                   CStr, CTernary, CType, CUnary, CVar, CWhile)
+                   CStr, CTernary, CType, CUnary, CVar, CWhile, walk_stmts)
 
 
 class CRuntimeError(Exception):
@@ -292,26 +292,10 @@ def _declared_types(func: CFunction) -> dict[str, set[CType]]:
     types: dict[str, set[CType]] = {}
     for param in func.params:
         types.setdefault(param.name, set()).add(param.ctype)
-    _collect_decls(func.body, types)
+    for stmt in walk_stmts(func.body):
+        if type(stmt) is CDecl:
+            types.setdefault(stmt.name, set()).add(stmt.ctype)
     return types
-
-
-def _collect_decls(node, types: dict[str, set[CType]]) -> None:
-    if isinstance(node, CBlock):
-        for s in node.stmts:
-            _collect_decls(s, types)
-    elif isinstance(node, CDecl):
-        types.setdefault(node.name, set()).add(node.ctype)
-    elif isinstance(node, CIf):
-        _collect_decls(node.then, types)
-        if node.other is not None:
-            _collect_decls(node.other, types)
-    elif isinstance(node, CFor):
-        if node.init is not None:
-            _collect_decls(node.init, types)
-        _collect_decls(node.body, types)
-    elif isinstance(node, CWhile):
-        _collect_decls(node.body, types)
 
 
 # -- the machine ---------------------------------------------------------------

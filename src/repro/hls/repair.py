@@ -26,7 +26,7 @@ from ..obs import get_tracer
 from .cast import CProgram
 from .compat import CompatReport, HlsIssue, check_compatibility
 from .cosim import (CosimMismatch, CosimReport, c_rtl_cosim, copy_args,
-                    cpu_fpga_cosim, _random_args)
+                    _random_args)
 from .cparser import CParseError, cparse
 from .cprinter import program_str
 from .interp import CRuntimeError, Machine

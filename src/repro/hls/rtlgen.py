@@ -17,12 +17,12 @@ behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cast import (CAssign, CBinary, CBlock, CBreak, CCall, CCast, CContinue,
-                   CDecl, CExpr, CExprStmt, CFor, CFunction, CIf, CIndex,
-                   CNum, CPragmaStmt, CProgram, CReturn, CStmt, CTernary,
-                   CUnary, CVar, CWhile)
+                   CDecl, CExpr, CExprStmt, CFor, CIf, CIndex, CNum,
+                   CPragmaStmt, CProgram, CReturn, CStmt, CTernary, CUnary,
+                   CVar, CWhile)
 from .compat import loop_bound
 
 _MAX_UNROLL = 1024

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cast import (CAssign, CBinary, CBlock, CCall, CDecl, CExpr, CExprStmt,
-                   CFor, CFunction, CIf, CIndex, CProgram, CReturn, CStmt,
-                   CTernary, CUnary, CWhile)
+                   CFor, CIf, CIndex, CProgram, CReturn, CStmt, CTernary,
+                   CUnary, CWhile)
 from .compat import loop_bound
 from .interp import carried_vars
 from .pragmas import pipeline_ii, unroll_factor

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cast import (CAssign, CBinary, CBlock, CCall, CCast, CDecl, CExpr,
-                   CExprStmt, CFor, CFunction, CIf, CIndex, CProgram,
-                   CReturn, CStmt, CTernary, CUnary, CVar, CWhile)
+from .cast import (CAssign, CBinary, CBlock, CCall, CDecl, CExpr, CExprStmt,
+                   CFor, CIf, CIndex, CProgram, CReturn, CStmt, CUnary, CVar,
+                   CWhile, walk_exprs, walk_stmts)
 
 
 @dataclass
@@ -23,29 +23,7 @@ class SliceResult:
 
 
 def _expr_vars(expr: CExpr | None, out: set[str]) -> None:
-    if expr is None:
-        return
-    if isinstance(expr, CVar):
-        out.add(expr.name)
-    elif isinstance(expr, CBinary):
-        _expr_vars(expr.left, out)
-        _expr_vars(expr.right, out)
-    elif isinstance(expr, CUnary):
-        _expr_vars(expr.operand, out)
-    elif isinstance(expr, CTernary):
-        for e in (expr.cond, expr.if_true, expr.if_false):
-            _expr_vars(e, out)
-    elif isinstance(expr, CAssign):
-        _expr_vars(expr.target, out)
-        _expr_vars(expr.value, out)
-    elif isinstance(expr, CIndex):
-        _expr_vars(expr.base, out)
-        _expr_vars(expr.index, out)
-    elif isinstance(expr, CCall):
-        for a in expr.args:
-            _expr_vars(a, out)
-    elif isinstance(expr, CCast):
-        _expr_vars(expr.operand, out)
+    out.update(e.name for e in walk_exprs(expr) if type(e) is CVar)
 
 
 @dataclass
@@ -119,27 +97,15 @@ def _collect_expr_assignments(expr: CExpr, controls: set[str],
             _collect_expr_assignments(a, controls, out, line)
 
 
-def _collect_returns(stmt: CStmt, out: set[str]) -> None:
-    if isinstance(stmt, CBlock):
-        for s in stmt.stmts:
-            _collect_returns(s, out)
-    elif isinstance(stmt, CReturn):
-        _expr_vars(stmt.value, out)
-    elif isinstance(stmt, CIf):
-        _collect_returns(stmt.then, out)
-        if stmt.other is not None:
-            _collect_returns(stmt.other, out)
-    elif isinstance(stmt, (CFor, CWhile)):
-        _collect_returns(stmt.body, out)
-
-
 def backward_slice(program: CProgram, function: str,
                    criterion: set[str] | None = None) -> SliceResult:
     """Key variables influencing the kernel's observable outputs."""
     func = program.function(function)
     if criterion is None:
         criterion = set()
-        _collect_returns(func.body, criterion)
+        for stmt in walk_stmts(func.body):
+            if type(stmt) is CReturn:
+                _expr_vars(stmt.value, criterion)
         # Output arrays: any array/pointer parameter counts as observable.
         for param in func.params:
             if param.ctype.is_array or param.ctype.is_pointer:

@@ -14,10 +14,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
-from .cast import (CAssign, CBinary, CBlock, CBreak, CCall, CCast, CContinue,
-                   CDecl, CExpr, CExprStmt, CFor, CFunction, CIf, CIndex,
-                   CNum, CParam, CPragmaStmt, CProgram, CReturn, CStmt,
-                   CTernary, CType, CUnary, CVar, CWhile)
+from .cast import (CAssign, CBinary, CBlock, CBreak, CCall, CDecl, CExpr,
+                   CExprStmt, CFor, CFunction, CIf, CIndex, CNum, CParam,
+                   CProgram, CReturn, CStmt, CType, CUnary, CVar, CWhile)
 from .compat import HlsIssue
 
 DEFAULT_ARRAY_DEPTH = 64

@@ -26,12 +26,12 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .faults import (ALL_FAULTS, INTERFACE_FAULTS, LOGIC_FAULTS,
-                     SYNTAX_FAULTS, FaultSpec, fault_by_id)
+from .faults import (INTERFACE_FAULTS, LOGIC_FAULTS, SYNTAX_FAULTS,
+                     FaultSpec, fault_by_id)
 from .profiles import ModelProfile
-from .prompts import Prompt, PromptEffects, PromptStrategy, prompt_effects
+from .prompts import Prompt, PromptEffects, prompt_effects
 from .registry import get_model
 from .tokenizer import count_tokens
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from ..hls.cast import (CAssign, CBinary, CBlock, CBreak, CCall, CCast,
                         CContinue, CDecl, CExpr, CExprStmt, CFor, CFunction,
                         CIf, CIndex, CNum, CPragmaStmt, CProgram, CReturn,
-                        CSizeof, CStmt, CStr, CTernary, CUnary, CVar, CWhile)
+                        CSizeof, CStmt, CTernary, CUnary, CVar, CWhile,
+                        walk_stmts)
 from ..hls.cparser import cparse
 
 
@@ -77,29 +78,18 @@ class _FunctionCompiler:
     # -- layout pre-pass ---------------------------------------------------------
 
     def _layout(self, stmt: CStmt) -> None:
-        if isinstance(stmt, CBlock):
-            for s in stmt.stmts:
-                self._layout(s)
-        elif isinstance(stmt, CDecl):
-            if stmt.ctype.is_array:
-                size = stmt.ctype.array_size or 0
+        for decl in walk_stmts(stmt):
+            if type(decl) is not CDecl:
+                continue
+            if decl.ctype.is_array:
+                size = decl.ctype.array_size or 0
                 if size <= 0:
-                    raise CompileError(f"array '{stmt.name}' needs a constant "
-                                       f"size", stmt.line)
-                self._alloc(stmt.name, size, stmt.line)
-                self.array_sizes[stmt.name] = size
+                    raise CompileError(f"array '{decl.name}' needs a constant "
+                                       f"size", decl.line)
+                self._alloc(decl.name, size, decl.line)
+                self.array_sizes[decl.name] = size
             else:
-                self._alloc(stmt.name, 1, stmt.line)
-        elif isinstance(stmt, CIf):
-            self._layout(stmt.then)
-            if stmt.other is not None:
-                self._layout(stmt.other)
-        elif isinstance(stmt, CFor):
-            if stmt.init is not None:
-                self._layout(stmt.init)
-            self._layout(stmt.body)
-        elif isinstance(stmt, CWhile):
-            self._layout(stmt.body)
+                self._alloc(decl.name, 1, decl.line)
 
     # -- compilation ----------------------------------------------------------------
 

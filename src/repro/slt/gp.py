@@ -11,7 +11,7 @@ finds higher-power snippets given a longer budget (paper: 5.682 W in 39 h vs
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..llm.model import _stable_seed
 from ..riscv.fpga import FpgaPowerMeter

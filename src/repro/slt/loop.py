@@ -22,7 +22,7 @@ from ..obs import get_tracer
 from ..riscv.fpga import FpgaPowerMeter
 from .pool import Candidate, CandidatePool
 from .scot import SltSnippetGenerator
-from .snippets import HANDWRITTEN_SEEDS, SnippetGenome
+from .snippets import HANDWRITTEN_SEEDS
 from .stop import StopCondition
 from .temperature import TemperatureController
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Parameter ranges: (realistic LLM range, full GP range).
 RANGES = {

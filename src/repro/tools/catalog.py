@@ -9,6 +9,8 @@ what it does, what it needs, what it reports.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..obs import get_tracer
 from .spec import (ToolArg, ToolContext, ToolCost, ToolOutcome, ToolSpec,
                    register_tool)
@@ -389,6 +391,34 @@ register_tool(ToolSpec(
 ))
 
 
+def resynthesize(rtl_source: str, top: str,
+                 scripts: tuple[tuple[str, ...], ...], baseline) \
+        -> tuple | None:
+    """Synthesize ``top`` once and optimize it under each script; return
+    ``(report, netlist, script)`` for the best area-delay product strictly
+    below ``baseline``'s, or None.  The agent's ``qor`` step shares this
+    body."""
+    from ..synth import estimate_ppa, optimize, synthesize_source
+    try:
+        raw = synthesize_source(rtl_source, top)
+    except Exception:
+        return None
+    best = None
+    best_adp = baseline.area_um2 * baseline.delay_ns
+    for script in scripts:
+        try:
+            with get_tracer().span("qor.script", script="+".join(script)):
+                netlist = dataclasses.replace(
+                    raw, aig=optimize(raw.aig, script).aig)
+                report = estimate_ppa(netlist)
+        except Exception:
+            continue
+        adp = report.area_um2 * report.delay_ns
+        if adp < best_adp:
+            best, best_adp = (report, netlist, script), adp
+    return best
+
+
 _TUNE_SCRIPTS: tuple[tuple[str, ...], ...] = (
     ("rewrite", "sweep"),
     ("balance", "rewrite", "balance", "sweep"),
@@ -397,20 +427,11 @@ _TUNE_SCRIPTS: tuple[tuple[str, ...], ...] = (
 
 
 def _tune_synthesis(ctx: ToolContext, args: dict) -> ToolOutcome:
-    from ..synth import estimate_ppa, optimize, synthesize_source
+    from ..synth import estimate_ppa
     baseline = ctx.state.ppa or estimate_ppa(ctx.state.netlist)
-    best_report, best_netlist, chosen = baseline, ctx.state.netlist, None
-    for script in _TUNE_SCRIPTS:
-        try:
-            candidate = synthesize_source(ctx.state.rtl_source,
-                                          _top(ctx))
-            candidate.aig = optimize(candidate.aig, script).aig
-            report = estimate_ppa(candidate)
-        except Exception:
-            continue
-        if report.area_um2 * report.delay_ns \
-                < best_report.area_um2 * best_report.delay_ns:
-            best_report, best_netlist, chosen = report, candidate, script
+    best_report, best_netlist, chosen = resynthesize(
+        ctx.state.rtl_source, _top(ctx), _TUNE_SCRIPTS, baseline) \
+        or (baseline, None, None)
     improved = chosen is not None
     if improved:
         ctx.state.netlist = best_netlist

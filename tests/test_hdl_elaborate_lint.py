@@ -113,6 +113,22 @@ module m(input clk, input d, output reg q);
 endmodule""")
         assert "LINT-BLOCKSEQ" in codes
 
+    def test_blocking_under_delay_in_clocked(self):
+        codes = self._warnings("""
+module m(input clk, input d, output reg q);
+  always @(posedge clk) #1 q = d;
+endmodule""")
+        assert "LINT-BLOCKSEQ" in codes
+
+    def test_for_header_is_not_a_blocking_assignment(self):
+        codes = self._warnings("""
+module m(input clk, input [3:0] d, output reg [3:0] q);
+  integer i;
+  always @(posedge clk)
+    for (i = 0; i < 4; i = i + 1) q[i] <= d[i];
+endmodule""")
+        assert "LINT-BLOCKSEQ" not in codes
+
     def test_nonblocking_in_comb(self):
         codes = self._warnings("""
 module m(input d, output reg q);

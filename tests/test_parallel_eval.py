@@ -111,6 +111,32 @@ class TestWorkerCounters:
         assert counts[0]["critic.rejected"] > 0
         assert counts[1] == counts[0]
 
+    def test_traced_serial_map_counts_tasks(self, monkeypatch):
+        """A traced run reports ``exec.tasks`` and ``exec.task_run_s`` at
+        jobs=1 exactly as at jobs=2."""
+        from repro import obs
+        from repro.config import ENV_TRACE
+
+        monkeypatch.setenv(ENV_TRACE, "1")
+        seen = []
+        for jobs in (1, 2):
+            obs.reset_tracer()
+            reset_metrics()
+            set_default_cache(CompileCache())
+            evaluate_model("gpt-4o", all_problems()[:2], k=2, seed=3,
+                           jobs=jobs)
+            snap = get_metrics().snapshot()
+            # A worker ships back only the counters it moved.
+            counters = {k: v for k, v in snap["counters"].items() if v}
+            seen.append((counters,
+                         snap["histograms"]["exec.task_run_s"]["count"]))
+        obs.reset_tracer()
+        reset_metrics()
+        assert seen[0][0]["exec.tasks"] == 4
+        assert seen[0][1] == 4
+        assert seen[0][0] == seen[1][0]
+        assert seen[0][1] == seen[1][1]
+
 
 class TestBadJobsWarning:
     def test_garbage_value_warns_once_naming_value(self):
